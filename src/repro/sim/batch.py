@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from contextlib import ExitStack
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -242,11 +243,12 @@ class BatchEngine:
     schedules, and failsafe guards are free to differ per lane.
 
     Results are bit-identical to running each engine's ``run()``
-    serially.  Two deliberate observability exceptions, both shared
-    with the PR-4 parallel executor's worker model: profiler *spans*
-    are not reproduced lane-per-lane (the stacked thermal call cannot
-    attribute its time to one lane), and per-sample ``latency_seconds``
-    measures the batched step, not an isolated serial step.
+    serially.  Two deliberate observability exceptions: each lane's
+    ``engine.run`` span covers the whole group's kernel, and the
+    stacked thermal call records no per-lane ``thermal.advance`` span
+    (it cannot attribute its time to one lane); per-sample
+    ``latency_seconds`` measures the batched step, not an isolated
+    serial step.
     """
 
     def __init__(self, engines) -> None:
@@ -329,7 +331,10 @@ class BatchEngine:
         warmup_instructions = _per_lane(
             warmup_instructions, count, "warmup_instructions"
         )
-        return self._run(instructions, max_cycles, warmup_instructions)
+        with ExitStack() as spans:
+            for engine in self.engines:
+                spans.enter_context(engine.telemetry.span("engine.run"))
+            return self._run(instructions, max_cycles, warmup_instructions)
 
     def _run(self, instructions, max_cycles, warmup) -> list[LaneOutcome]:
         first = self.engines[0]

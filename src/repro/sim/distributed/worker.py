@@ -105,7 +105,9 @@ def _execute_session(
     config = (
         _worker_telemetry_config(
             TelemetryConfig(
-                sample_latency=bool(telemetry.get("sample_latency", True))
+                # The wire format carries no spans, so do not time any.
+                profile=False,
+                sample_latency=bool(telemetry.get("sample_latency", True)),
             )
         )
         if telemetry.get("enabled")

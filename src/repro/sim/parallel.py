@@ -1,69 +1,82 @@
-"""The parallel sweep executor: fan (benchmark x policy x seed) matrices
-out over worker processes, tolerating worker crashes along the way.
+"""The sweep executor: run (benchmark x policy x seed) matrices in
+process or over worker processes, tolerating failures along the way.
 
 Every experiment driver funnels through :func:`repro.sim.sweep.run_suite`
-(or a hand-rolled loop over :func:`repro.sim.sweep.run_one`), and a full
-paper reproduction runs hundreds of independent simulations.  Each run
-is CPU-bound pure Python/NumPy with no shared mutable state, which makes
-the matrix embarrassingly parallel -- but only if the observability
-guarantees survive the fan-out.  This module provides:
+or :func:`run_specs`, and a full paper reproduction runs hundreds of
+independent simulations.  Each run is CPU-bound pure Python/NumPy with
+no shared mutable state, which makes the matrix embarrassingly parallel
+-- but only if the observability guarantees survive the fan-out.  One
+runner, :class:`_OutcomeRunner`, executes every spec: serially or on a
+:class:`~concurrent.futures.ProcessPoolExecutor`, lane-batched or not,
+journaled and cached or not.  The entry points differ only in how they
+configure it and what they return:
 
+* :func:`run_outcomes` + :class:`SweepOptions` / :class:`RetryPolicy`
+  -- the fault-tolerant sweep: per-spec wall-clock timeouts, bounded
+  deterministic-backoff retries, ``BrokenProcessPool`` recovery
+  (rebuild the pool, re-run only the lost in-flight specs, degrade to
+  in-process serial execution after repeated pool deaths), failure
+  isolation as structured :class:`SpecOutcome` values, and a
+  crash-safe checkpoint journal (:mod:`repro.sim.checkpoint`) for
+  ``--resume``;
+* :func:`run_specs` -- results only.  With no ``options`` and no
+  ``cluster`` anywhere it is *fail-fast*: the same runner with no
+  retries, which stops at the first failed spec in spec order, folds
+  the telemetry of the specs already settled, flushes the cache, and
+  re-raises that spec's original exception;
+* :func:`execute_payloads` -- the shard worker's entry point: the same
+  runner, one attempt per spec, outcomes as settled payload tuples;
 * :class:`WorkSpec` -- a picklable, self-contained description of one
   run (names + frozen config dataclasses, never live objects), so a
   worker process can rebuild the exact engine the serial path would
   have built;
-* :func:`run_specs` -- execute a list of specs either serially (sharing
-  the caller's telemetry sink, exactly like the classic loop) or on a
-  :class:`~concurrent.futures.ProcessPoolExecutor`, folding each
-  worker's local telemetry back into the sink **in spec order**;
-* :func:`run_outcomes` + :class:`SweepOptions` / :class:`RetryPolicy` --
-  the fault-tolerant orchestration layer: per-spec wall-clock timeouts,
-  bounded deterministic-backoff retries, ``BrokenProcessPool`` recovery
-  (rebuild the pool, re-run only the lost in-flight specs, degrade to
-  in-process serial execution after repeated pool deaths), failure
-  isolation as structured :class:`SpecOutcome` values, and a crash-safe
-  checkpoint journal (:mod:`repro.sim.checkpoint`) for ``--resume``;
 * :func:`matrix_specs` -- build the (benchmark x policy x seed) spec
   list in the canonical benchmark-major order used by ``run_suite``;
-* :func:`set_default_jobs` / :func:`get_default_jobs` and
-  :func:`set_default_sweep_options` / :func:`get_default_sweep_options`
-  -- process-wide defaults so ``--jobs`` / ``--retries`` / ``--resume``
-  on a driver's command line reach every ``run_suite`` call inside
-  table modules without threading parameters through each one.
+* ``set_default_jobs`` / ``set_default_batch`` /
+  ``set_default_sweep_options`` / ``set_default_cluster`` /
+  ``set_default_cache`` -- process-wide defaults so a driver's
+  ``--jobs`` / ``--batch`` / ``--retries`` / ``--cluster`` /
+  ``--cache`` reach every ``run_suite`` call inside table modules
+  without threading parameters through each one.
 
 Determinism and telemetry parity
 --------------------------------
 
 Results are returned in spec order regardless of completion order, and
-every engine is seeded from its spec alone, so ``jobs=N`` is
-bit-identical to ``jobs=1`` (property-tested).  Telemetry parity works
-because trace decimation is a pure function of the emit sequence:
-workers record into a *retain-everything* local
+every engine is seeded from its spec alone, so ``jobs=N`` and
+``batch=B`` are bit-identical to ``jobs=1`` (property-tested).
+Telemetry follows one model at every ``jobs`` and ``batch``: each run
+records into a *retain-everything* worker-local
 :class:`~repro.telemetry.core.Telemetry` (huge capacity, no decimation)
-and the parent re-emits each worker's records onto the sink via
-:func:`~repro.telemetry.core.merge_telemetry` in spec order -- the sink
-therefore sees the exact emit sequence a serial sweep would have
-produced, and retains the exact same records, events, and metrics.  The
-one documented difference: profiler *span* timings are per-process
-wall-clock and are deliberately not merged, so a parallel sweep's sink
-carries the parent's spans only (no per-run ``engine.run`` spans).
+and the runner re-emits each run's records onto the sink via
+:func:`~repro.telemetry.core.merge_telemetry` in spec order at the end
+of the sweep.  Trace decimation is a pure function of the emit
+sequence, so the sink retains the exact records, events, and metrics a
+single shared sink would have.  Two documented differences: a merged
+gauge's ``value`` is pinned to its extreme (merged updates have no
+global order), and profiler spans merge as statistics (counts and
+durations add, min/max combine) that are not nested under any span
+open on the sink, such as ``sweep.run_suite``.
 
 The fault-tolerant layer preserves the same guarantee: a failed attempt
 contributes *no* telemetry (only the final successful attempt of each
 spec is folded, in spec order), and a ``--resume`` sweep re-folds the
 journaled telemetry of already-completed specs in spec order, so its
 results and retained traces are bit-identical to an uninterrupted sweep
-(property-tested).  Orchestration diagnostics -- ``sweep.retry``,
-``sweep.timeout``, ``sweep.pool_crash``, ``sweep.degraded``,
-``sweep.spec_failed``, ``sweep.resume`` events on the ``repro.trace/v1``
-stream -- are the deliberate exception: they record the interruption
-history itself and are excluded from the parity guarantee (see
-docs/robustness.md).
+(property-tested).  Journal and cache payloads carry no spans.
+Orchestration diagnostics -- ``sweep.retry``, ``sweep.timeout``,
+``sweep.pool_crash``, ``sweep.degraded``, ``sweep.spec_failed``,
+``sweep.resume`` events on the ``repro.trace/v1`` stream -- are the
+deliberate exception: they record the interruption history itself and
+are excluded from the parity guarantee (see docs/robustness.md).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
+import pickle
 import time
 import traceback as traceback_module
 from collections import deque
@@ -90,7 +103,6 @@ from repro.errors import ConfigError, SweepError
 from repro.faults import FaultSchedule
 from repro.sim.batch import (
     batch_compatibility_key,
-    plan_batches,
     run_spec_lanes,
     validate_batch,
 )
@@ -309,6 +321,23 @@ def resolve_cache(cache):
     return ResultCache(cache)
 
 
+def _validate_finite(
+    name: str, value, minimum: float, inclusive: bool = True
+) -> None:
+    """Require a finite, non-bool real ``>= minimum`` (``>`` if exclusive)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or value < minimum
+        or (value == minimum and not inclusive)
+    ):
+        bound = f"{'>=' if inclusive else '>'} {minimum}"
+        raise ConfigError(
+            f"{name} must be a finite number {bound}, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retries with deterministic (jitter-free) backoff.
@@ -336,12 +365,13 @@ class RetryPolicy:
                 f"max_retries must be a non-negative int, "
                 f"got {self.max_retries!r}"
             )
-        if self.backoff_seconds < 0:
-            raise ConfigError("backoff_seconds must be >= 0")
-        if self.backoff_multiplier < 1:
-            raise ConfigError("backoff_multiplier must be >= 1")
-        if self.max_backoff_seconds < 0:
-            raise ConfigError("max_backoff_seconds must be >= 0")
+        # NaN compares false against every bound, so it used to slip
+        # through and turn into a 60 s wait or a time.sleep(nan) error.
+        _validate_finite("backoff_seconds", self.backoff_seconds, 0)
+        _validate_finite("backoff_multiplier", self.backoff_multiplier, 1)
+        _validate_finite(
+            "max_backoff_seconds", self.max_backoff_seconds, 0
+        )
 
     def delay(self, retry_number: int) -> float:
         """Backoff before the given retry (1-based), in seconds."""
@@ -404,12 +434,11 @@ class SweepOptions:
 
     def __post_init__(self) -> None:
         validate_batch(self.batch, allow_none=True)
-        if self.timeout_seconds is not None and not (
-            self.timeout_seconds > 0
-        ):
-            raise ConfigError(
-                f"timeout_seconds must be positive or None, "
-                f"got {self.timeout_seconds!r}"
+        if self.timeout_seconds is not None:
+            # An infinite deadline overflows future.result(timeout=...),
+            # and True used to mean one second.
+            _validate_finite(
+                "timeout_seconds", self.timeout_seconds, 0, inclusive=False
             )
         if self.resume and self.checkpoint_path is None:
             raise ConfigError("resume=True requires a checkpoint_path")
@@ -547,19 +576,17 @@ def _worker_telemetry_config(
 ) -> TelemetryConfig:
     """Retain-everything local telemetry for one worker run.
 
-    Profiling is off (spans are per-process and never merged); the
-    sample-latency switch is inherited from the sink so the latency
-    histogram sees the same number of observations as a serial sweep.
+    The profiling and sample-latency switches are inherited from the
+    sink, so merged spans and the latency histogram see the same calls
+    and observations a shared sink would have.
     """
-    sample_latency = (
-        sink_config.sample_latency if sink_config is not None else True
-    )
+    sink_config = sink_config if sink_config is not None else TelemetryConfig()
     return TelemetryConfig(
         trace_capacity=_RETAIN_ALL,
         trace_mode="decimate",
         event_capacity=_RETAIN_ALL,
-        profile=False,
-        sample_latency=sample_latency,
+        profile=sink_config.profile,
+        sample_latency=sink_config.sample_latency,
     )
 
 
@@ -614,6 +641,14 @@ def _execute(spec: WorkSpec, telemetry) -> RunResult:
         telemetry=telemetry,
     )
 
+def _local_telemetry(
+    telemetry_config: TelemetryConfig | None,
+) -> Telemetry | None:
+    """One run's worker-local sink (``None`` when telemetry is off)."""
+    return (
+        Telemetry(telemetry_config) if telemetry_config is not None else None
+    )
+
 
 def _run_spec(
     spec: WorkSpec, telemetry_config: TelemetryConfig | None
@@ -624,198 +659,75 @@ def _run_spec(
     worker's whole local :class:`Telemetry` -- plain dataclass/list
     state, so it pickles -- for the parent to fold into the sink.
     """
-    local = (
-        Telemetry(telemetry_config) if telemetry_config is not None else None
-    )
+    local = _local_telemetry(telemetry_config)
     result = _execute(spec, local)
     return result, local
 
 
-def _group_locals(
-    count: int, telemetry_config: TelemetryConfig | None
-) -> list[Telemetry | None]:
-    """Per-lane retain-everything sinks for one batched group."""
-    return [
-        Telemetry(telemetry_config) if telemetry_config is not None else None
-        for _ in range(count)
-    ]
+def _error_payload(error: BaseException, portable: bool = False) -> tuple:
+    """A settled failure: ``("error", exc_type, message, traceback, exc)``.
+
+    ``exc`` is the exception itself, which a fail-fast sweep re-raises.
+    A ``portable`` payload is about to cross a process boundary, so it
+    keeps the exception only if it survives a pickle round trip: one
+    lane's unpicklable exception must not poison its whole group's
+    result transfer.
+    """
+    exc = error
+    if portable:
+        try:
+            pickle.loads(pickle.dumps(error))
+        except Exception:
+            exc = None
+    return (
+        "error",
+        type(error).__name__,
+        str(error),
+        "".join(traceback_module.format_exception(error)),
+        exc,
+    )
+
+
+def _spec_payload(
+    spec: WorkSpec, telemetry_config: TelemetryConfig | None
+) -> tuple:
+    """Run one spec in-process: ``("ok", result, local)`` or an error."""
+    try:
+        result, local = _run_spec(spec, telemetry_config)
+    except Exception as error:
+        return _error_payload(error)
+    return ("ok", result, local)
 
 
 def _run_group_payloads(
-    specs: Sequence[WorkSpec], telemetry_config: TelemetryConfig | None
+    specs: Sequence[WorkSpec],
+    telemetry_config: TelemetryConfig | None,
+    portable: bool = True,
 ) -> list[tuple]:
-    """Worker entry point: run compatible specs as one batched kernel.
+    """Run compatible specs as one batched kernel; one payload per lane.
 
-    Returns one payload per lane, in lane order: ``("ok", result,
-    local_telemetry)`` or ``("error", exc_type, message, traceback)``.
-    Lane failures are settled *here* (strings, not exception objects)
-    so one lane's unpicklable exception cannot poison the whole
-    group's result transfer.
+    Each payload is ``("ok", result, local_telemetry)`` or an
+    :func:`_error_payload`, in lane order.  Lane failures settle here,
+    so one lane's failure never costs its neighbours their results.
+    Module-level (picklable by reference) as a pool worker entry point;
+    in-process callers pass ``portable=False``.
     """
-    locals_ = _group_locals(len(specs), telemetry_config)
-    payloads: list[tuple] = []
-    for outcome, local in zip(run_spec_lanes(specs, locals_), locals_):
-        if outcome.error is None:
-            payloads.append(("ok", outcome.result, local))
-        else:
-            error = outcome.error
-            payloads.append((
-                "error",
-                type(error).__name__,
-                str(error),
-                "".join(traceback_module.format_exception(error)),
-            ))
-    return payloads
-
-
-def _run_spec_group(
-    specs: Sequence[WorkSpec], telemetry_config: TelemetryConfig | None
-) -> list[tuple[RunResult, Telemetry | None]]:
-    """Fail-fast group worker: all lane results, or the earliest error.
-
-    The batched analogue of :func:`_run_spec` for the classic
-    (orchestrator-less) pool path: raising the earliest lane's error
-    reproduces the serial loop's observable fail-fast behaviour (later
-    lanes did execute, but their results are discarded with the
-    raise).
-    """
-    locals_ = _group_locals(len(specs), telemetry_config)
-    outcomes = run_spec_lanes(specs, locals_)
-    for outcome in outcomes:
-        if outcome.error is not None:
-            raise outcome.error
+    locals_ = [_local_telemetry(telemetry_config) for _ in specs]
     return [
-        (outcome.result, local)
-        for outcome, local in zip(outcomes, locals_)
+        ("ok", outcome.result, local)
+        if outcome.error is None
+        else _error_payload(outcome.error, portable)
+        for outcome, local in zip(run_spec_lanes(specs, locals_), locals_)
     ]
 
 
-def execute_payloads(
-    specs: Sequence[WorkSpec],
-    jobs: int | None = None,
-    batch: int | None = None,
-    telemetry_config: TelemetryConfig | None = None,
-) -> list[tuple]:
-    """Run specs locally; one settled payload per spec, in spec order.
+def _task_payloads(lanes: list, value) -> list[tuple]:
+    """Lane payloads of one finished pool task.
 
-    The shard worker's execution entry point
-    (:mod:`repro.sim.distributed.worker`), composing process-level
-    ``jobs`` and lane-level ``batch`` exactly like a local sweep, but
-    returning per-spec payload tuples instead of folding telemetry into
-    a sink: ``("ok", result, local_telemetry)`` for successes,
-    ``("error", exc_type, message, traceback)`` for failures -- the
-    same settled shape :func:`_run_group_payloads` produces, so one
-    lane's failure never poisons its neighbours.  Retry/backoff policy
-    stays with the coordinator; this function reports one attempt.
-
-    A local pool death (``BrokenExecutor``) degrades the unsettled
-    remainder to in-process serial execution -- results are pure
-    functions of their specs, so the fallback changes timing, never
-    bits.
+    A singleton ran :func:`_run_spec`, which returns ``(result,
+    local)``; a group ran :func:`_run_group_payloads`.
     """
-    specs = list(specs)
-    if not specs:
-        return []
-    jobs = resolve_jobs(jobs, len(specs))
-    batch = resolve_batch(batch)
-    groups = (
-        plan_batches(specs, batch)
-        if batch > 1
-        else [[index] for index in range(len(specs))]
-    )
-    payloads: list[tuple | None] = [None] * len(specs)
-
-    def run_group_inline(group: list[int]) -> list[tuple]:
-        group_specs = [specs[i] for i in group]
-        if len(group) == 1:
-            try:
-                result, local = _run_spec(group_specs[0], telemetry_config)
-            except Exception as error:
-                return [(
-                    "error",
-                    type(error).__name__,
-                    str(error),
-                    traceback_module.format_exc(),
-                )]
-            return [("ok", result, local)]
-        return _run_group_payloads(group_specs, telemetry_config)
-
-    def settle(group: list[int], group_payloads: list[tuple]) -> None:
-        for index, payload in zip(group, group_payloads):
-            payloads[index] = payload
-
-    if jobs <= 1:
-        for group in groups:
-            settle(group, run_group_inline(group))
-        return payloads
-    window = _submission_window(jobs)
-    unsettled: list[list[int]] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        pending: deque = deque()
-        submitted = 0
-        settled = 0
-        try:
-            while settled < len(groups):
-                while submitted < len(groups) and len(pending) < window:
-                    group = groups[submitted]
-                    group_specs = [specs[i] for i in group]
-                    if len(group) == 1:
-                        future = pool.submit(
-                            _run_spec, group_specs[0], telemetry_config
-                        )
-                    else:
-                        future = pool.submit(
-                            _run_group_payloads,
-                            group_specs,
-                            telemetry_config,
-                        )
-                    pending.append((group, future))
-                    submitted += 1
-                group, future = pending.popleft()
-                settled += 1
-                try:
-                    payload = future.result()
-                except BrokenExecutor:
-                    # The pool died; blame is unattributable here (the
-                    # coordinator's concern is one attempt's outcome),
-                    # so finish everything unsettled in-process.
-                    unsettled.append(group)
-                    unsettled.extend(g for g, _ in pending)
-                    unsettled.extend(groups[submitted:])
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    break
-                except Exception as error:
-                    if len(group) == 1:
-                        settle(
-                            group,
-                            [(
-                                "error",
-                                type(error).__name__,
-                                str(error),
-                                "".join(
-                                    traceback_module.format_exception(error)
-                                ),
-                            )],
-                        )
-                    else:
-                        # Group workers settle per-lane failures into
-                        # payloads, so a group-level raise is
-                        # infrastructure, not one lane's fault: re-run
-                        # each lane in-process for exact attribution.
-                        for lane in group:
-                            settle([lane], run_group_inline([lane]))
-                else:
-                    if len(group) == 1:
-                        result, local = payload
-                        settle(group, [("ok", result, local)])
-                    else:
-                        settle(group, payload)
-        except KeyboardInterrupt:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-    for group in unsettled:
-        settle(group, run_group_inline(group))
-    return payloads
+    return [("ok", *value)] if len(lanes) == 1 else value
 
 
 def _submission_window(jobs: int, window_factor: int = 4) -> int:
@@ -845,7 +757,6 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
             pass
     pool.shutdown(wait=False, cancel_futures=True)
 
-
 def run_specs(
     specs: Sequence[WorkSpec],
     jobs: int | None = None,
@@ -857,38 +768,29 @@ def run_specs(
 ) -> list[RunResult]:
     """Execute specs, serially or on a process pool; results in spec order.
 
-    ``jobs <= 1`` runs the classic serial loop sharing ``telemetry``
-    directly (identical in every observable way to the pre-executor
-    sweeps, including profiler span counts).  ``jobs > 1`` fans out
-    over worker processes (submissions bounded by a sliding window) and
-    folds each worker's retain-everything local telemetry back into the
-    sink in spec order, so retained traces, events, and merged metrics
-    match the serial run exactly (spans excepted; see the module
-    docstring).
+    ``jobs`` (``None`` defers to :func:`get_default_jobs`, ``0`` means
+    all cores) fans the specs out over worker processes, and ``batch``
+    (``None`` defers to :func:`get_default_batch`) groups consecutive
+    compatible specs into one vectorized
+    :class:`~repro.sim.batch.BatchEngine` kernel, inside each pool
+    worker when ``jobs > 1``.  ``cache`` (``None`` defers to
+    :func:`resolve_cache`) replays previously completed specs from the
+    cross-sweep result cache instead of running them, and stores fresh
+    results.  Results are bit-identical whatever the combination, and
+    every run's telemetry folds into ``telemetry`` in spec order (see
+    the module docstring).
 
-    ``options`` (or a process-wide default installed via
-    :func:`set_default_sweep_options`) routes execution through the
-    fault-tolerant orchestrator :func:`run_outcomes`: failing specs
-    yield ``None`` entries in the returned list (or, with
-    ``options.strict``, one aggregated
-    :class:`~repro.errors.SweepError` at the end).  With no options
-    anywhere, behaviour is the classic fail-fast sweep, bit-identical
-    to the pre-orchestrator code.
-
-    ``batch`` (``None`` defers to :func:`get_default_batch`) groups
-    consecutive compatible specs into one vectorized
-    :class:`~repro.sim.batch.BatchEngine` kernel per group -- inside
-    each pool worker when ``jobs > 1``, so process- and lane-level
-    parallelism compose.  Results stay bit-identical to the unbatched
-    sweep; telemetry follows the parallel parity model (per-lane local
-    sinks folded in spec order) even at ``jobs=1``, because lanes run
-    interleaved.
-
-    ``cache`` (``None`` defers to :func:`resolve_cache`) consults the
-    cross-sweep result cache before executing anything: hits replay
-    their stored result and telemetry bit-identically, only misses run
-    (and write their outcome back).  ``cache.*`` orchestration events
-    are excluded from the parity guarantee, like ``sweep.*``.
+    ``options`` or ``cluster`` (or the process-wide defaults installed
+    by :func:`set_default_sweep_options` / :func:`set_default_cluster`)
+    route execution through :func:`run_outcomes`: failing specs yield
+    ``None`` entries in the returned list (or, with ``options.strict``,
+    one aggregated :class:`~repro.errors.SweepError` at the end).  With
+    neither anywhere, the sweep is fail-fast: it stops at the first
+    failed spec in spec order and re-raises that spec's own exception,
+    after folding the telemetry of the specs already settled and
+    storing their results in the cache.  A worker crash, which leaves
+    no exception to re-raise, surfaces as a
+    :class:`~repro.errors.SweepError`.
     """
     specs = list(specs)
     if options is None:
@@ -900,272 +802,12 @@ def run_specs(
             specs, jobs=jobs, telemetry=telemetry, options=options,
             batch=batch, cluster=cluster, cache=cache,
         )
-        return [outcome.result for outcome in outcomes]
-    sink = ensure_telemetry(telemetry)
-    jobs = resolve_jobs(jobs, len(specs))
-    batch = resolve_batch(batch)
-    store = resolve_cache(cache)
-    if store is not None:
-        return _run_specs_cached(specs, jobs, sink, batch, store)
-    if batch > 1:
-        return _run_specs_batched(specs, jobs, sink, batch)
-    if jobs <= 1:
-        shared = sink if sink.enabled else None
-        return [_execute(spec, shared) for spec in specs]
-    config = (
-        _worker_telemetry_config(getattr(sink, "config", None))
-        if sink.enabled
-        else None
-    )
-    results: list[RunResult] = []
-    window = _submission_window(jobs)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        try:
-            pending: deque = deque()
-            submitted = 0
-            # Submit in a sliding window and collect in SUBMISSION
-            # order, not completion order: result ordering and
-            # telemetry fold order must match the serial loop, and the
-            # window bounds pickled-spec/result memory on huge
-            # matrices.
-            while len(results) < len(specs):
-                while submitted < len(specs) and len(pending) < window:
-                    pending.append(
-                        pool.submit(_run_spec, specs[submitted], config)
-                    )
-                    submitted += 1
-                result, local = pending.popleft().result()
-                results.append(result)
-                if local is not None:
-                    merge_telemetry(sink, local)
-        except KeyboardInterrupt:
-            # Telemetry for collected results is already folded (the
-            # loop folds as it collects); drop queued specs so Ctrl-C
-            # does not hang waiting on them.  Workers already running
-            # finish their current spec during context exit.
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-    if sink.enabled and specs:
-        # A serial sweep leaves the sink contextualized on its last
-        # run; match that so downstream snapshot headers agree.
-        last = specs[-1]
-        sink.set_context(last.benchmark, last.policy)
-    return results
-
-
-def _run_specs_batched(
-    specs: list[WorkSpec], jobs: int, sink, batch: int
-) -> list[RunResult]:
-    """Classic fail-fast execution with lane batching.
-
-    Groups are planned once (:func:`~repro.sim.batch.plan_batches`)
-    and run in spec order -- in-process for ``jobs <= 1``, else one
-    group per pool task with the usual sliding window.  Singleton
-    groups (incompatible neighbours, multicore specs) run through the
-    ordinary :func:`_execute` path.  Telemetry uses per-lane local
-    sinks folded in spec order even in-process: lanes of one group run
-    interleaved, so sharing the sink directly would scramble the emit
-    sequence.
-    """
-    groups = plan_batches(specs, batch)
-    config = (
-        _worker_telemetry_config(getattr(sink, "config", None))
-        if sink.enabled
-        else None
-    )
-    results: list[RunResult] = [None] * len(specs)  # type: ignore[list-item]
-
-    def settle(group, pairs) -> None:
-        for index, (result, local) in zip(group, pairs):
-            results[index] = result
-            if local is not None:
-                merge_telemetry(sink, local)
-
-    if jobs <= 1:
-        for group in groups:
-            group_specs = [specs[i] for i in group]
-            if len(group) == 1:
-                local = Telemetry(config) if config is not None else None
-                settle(group, [(_execute(group_specs[0], local), local)])
-            else:
-                settle(group, _run_spec_group(group_specs, config))
     else:
-        window = _submission_window(jobs)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            try:
-                pending: deque = deque()
-                submitted = 0
-                settled = 0
-                while settled < len(groups):
-                    while (
-                        submitted < len(groups) and len(pending) < window
-                    ):
-                        group = groups[submitted]
-                        group_specs = [specs[i] for i in group]
-                        if len(group) == 1:
-                            future = pool.submit(
-                                _run_spec, group_specs[0], config
-                            )
-                        else:
-                            future = pool.submit(
-                                _run_spec_group, group_specs, config
-                            )
-                        pending.append((group, future))
-                        submitted += 1
-                    group, future = pending.popleft()
-                    payload = future.result()
-                    if len(group) == 1:
-                        payload = [payload]
-                    settle(group, payload)
-                    settled += 1
-            except KeyboardInterrupt:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-    if sink.enabled and specs:
-        last = specs[-1]
-        sink.set_context(last.benchmark, last.policy)
-    return results
-
-
-def _run_specs_cached(
-    specs: list[WorkSpec], jobs: int, sink, batch: int, store
-) -> list[RunResult]:
-    """Classic fail-fast execution through the cross-sweep result cache.
-
-    Hits replay their stored result without executing anything (and
-    without occupying a pool slot or a batch lane); only the misses
-    run -- through the usual jobs/batch machinery -- and write their
-    outcome back on completion.  Telemetry folds in spec order,
-    interleaving replayed payloads (:func:`fold_saved_telemetry`) with
-    fresh worker-local sinks (:func:`merge_telemetry`), which is what
-    makes a warm sweep's retained traces, events, and metrics
-    bit-identical to a cold one's.  Misses use worker-local telemetry
-    even at ``jobs=1`` -- the same documented deviation as lane
-    batching (no per-run profiler spans on the sink).  A ``cache.hit``
-    summary event reports the hit/miss split; ``cache.*`` events are
-    excluded from parity like ``sweep.*``.
-    """
-    from repro.sim.cache import cache_key
-
-    keys = [cache_key(spec) for spec in specs]
-    # An entry without telemetry cannot replay what this sink needs to
-    # fold, so it misses (and upgrades in place when the re-run stores).
-    need_telemetry = sink.enabled
-    entries = [
-        store.lookup(key, need_telemetry=need_telemetry) for key in keys
-    ]
-    hit_set = {i for i, entry in enumerate(entries) if entry is not None}
-    config = (
-        _worker_telemetry_config(getattr(sink, "config", None))
-        if sink.enabled
-        else None
-    )
-    try:
-        groups = (
-            plan_batches(specs, batch, skip=hit_set)
-            if batch > 1
-            else [[i] for i in range(len(specs)) if i not in hit_set]
-        )
-        pairs = _run_spec_pairs(specs, groups, jobs, config)
-        results: list[RunResult] = [None] * len(specs)  # type: ignore[list-item]
-        for index in sorted(pairs):
-            result, local = pairs[index]
-            store.store(
-                keys[index], specs[index], result, local
-            )
-        for index, spec in enumerate(specs):
-            entry = entries[index]
-            if entry is None:
-                result, local = pairs[index]
-                results[index] = result
-                if local is not None:
-                    merge_telemetry(sink, local)
-            else:
-                results[index] = result_from_dict(entry["result"])
-                if sink.enabled:
-                    fold_saved_telemetry(sink, entry.get("telemetry"))
-        if sink.enabled and specs:
-            sink.event(
-                "cache.hit",
-                -1,
-                f"result cache replayed {len(hit_set)} of {len(specs)} "
-                f"specs ({len(specs) - len(hit_set)} executed)",
-                hits=len(hit_set),
-                misses=len(specs) - len(hit_set),
-                total=len(specs),
-                path=str(store.directory),
-            )
-            last = specs[-1]
-            sink.set_context(last.benchmark, last.policy)
-    finally:
-        # Persist LRU touches and counters even when a miss fails
-        # fast -- the hits that happened before the raise are real.
-        store.flush()
-    return results
-
-
-def _run_spec_pairs(
-    specs: list[WorkSpec],
-    groups: list[list[int]],
-    jobs: int,
-    config: TelemetryConfig | None,
-) -> dict[int, tuple[RunResult, "Telemetry | None"]]:
-    """Fail-fast execution of planned groups; pairs keyed by spec index.
-
-    The cached sweep's miss runner: the same serial/pool/batched
-    machinery as :func:`run_specs`'s classic paths, but returning each
-    run's ``(result, worker-local telemetry)`` instead of folding into
-    a sink, so the caller can interleave fresh and replayed telemetry
-    in spec order.  ``groups`` is a batch plan over the *full* spec
-    list (cached lanes already dropped); indices key the result dict.
-    """
-    pairs: dict[int, tuple] = {}
-    if not groups:
-        return pairs
-    jobs = resolve_jobs(jobs, sum(len(group) for group in groups))
-
-    def settle(group: list[int], group_pairs) -> None:
-        for index, pair in zip(group, group_pairs):
-            pairs[index] = pair
-
-    if jobs <= 1:
-        for group in groups:
-            group_specs = [specs[i] for i in group]
-            if len(group) == 1:
-                settle(group, [_run_spec(group_specs[0], config)])
-            else:
-                settle(group, _run_spec_group(group_specs, config))
-        return pairs
-    window = _submission_window(jobs)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        try:
-            pending: deque = deque()
-            submitted = 0
-            settled = 0
-            while settled < len(groups):
-                while submitted < len(groups) and len(pending) < window:
-                    group = groups[submitted]
-                    group_specs = [specs[i] for i in group]
-                    if len(group) == 1:
-                        future = pool.submit(
-                            _run_spec, group_specs[0], config
-                        )
-                    else:
-                        future = pool.submit(
-                            _run_spec_group, group_specs, config
-                        )
-                    pending.append((group, future))
-                    submitted += 1
-                group, future = pending.popleft()
-                payload = future.result()
-                if len(group) == 1:
-                    payload = [payload]
-                settle(group, payload)
-                settled += 1
-        except KeyboardInterrupt:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-    return pairs
+        outcomes = _OutcomeRunner(
+            specs, jobs, telemetry, SweepOptions(), batch, cache,
+            fail_fast=True,
+        ).run()
+    return [outcome.result for outcome in outcomes]
 
 
 def run_outcomes(
@@ -1202,7 +844,6 @@ def run_outcomes(
     specs = list(specs)
     if options is None:
         options = _DEFAULT_OPTIONS if _DEFAULT_OPTIONS is not None else SweepOptions()
-    sink = ensure_telemetry(telemetry)
     if cluster is None:
         cluster = _DEFAULT_CLUSTER
     if cluster is not None:
@@ -1212,25 +853,15 @@ def run_outcomes(
         from repro.sim.distributed.coordinator import run_cluster_outcomes
 
         return run_cluster_outcomes(
-            specs, cluster, options=options, telemetry=sink, cache=cache
+            specs,
+            cluster,
+            options=options,
+            telemetry=ensure_telemetry(telemetry),
+            cache=cache,
         )
-    jobs = resolve_jobs(jobs, len(specs))
-    # Explicit argument > options.batch > process-wide default.
-    if batch is None:
-        batch = options.batch
-    batch = resolve_batch(batch)
-    runner = _OutcomeRunner(specs, jobs, sink, options, batch, cache=cache)
-    try:
-        outcomes = runner.run()
-    except KeyboardInterrupt:
-        # Keep what we have: fold completed runs' telemetry (in spec
-        # order) so the sink -- and the journal, already fsync'd per
-        # outcome -- reflect every finished spec before propagating.
-        runner.fold_telemetry()
-        raise
-    finally:
-        runner.close()
-    runner.fold_telemetry()
+    outcomes = _OutcomeRunner(
+        specs, jobs, telemetry, options, batch, cache
+    ).run()
     failures = [o for o in outcomes if o.error is not None]
     if failures and options.strict:
         detail = "; ".join(
@@ -1248,23 +879,73 @@ def run_outcomes(
     return outcomes
 
 
+def execute_payloads(
+    specs: Sequence[WorkSpec],
+    jobs: int | None = None,
+    batch: int | None = None,
+    telemetry_config: TelemetryConfig | None = None,
+) -> list[tuple]:
+    """Run specs locally; one settled payload per spec, in spec order.
+
+    The shard worker's execution entry point
+    (:mod:`repro.sim.distributed.worker`): the local runner with
+    process-level ``jobs`` and lane-level ``batch``, one attempt per
+    spec and no sink, journal or cache.  Each outcome maps to
+    ``("ok", result, local_telemetry)`` or ``("error", exc_type,
+    message, traceback)``, so one spec's failure never poisons its
+    neighbours.  Retry/backoff policy stays with the coordinator.  A
+    local pool death re-runs the lost specs one at a time, and a spec
+    that kills its own worker settles as a ``BrokenProcessPool`` error.
+    """
+    runner = _OutcomeRunner(
+        list(specs), jobs, None, SweepOptions(), batch, cache=False,
+        config=telemetry_config,
+    )
+    return [
+        ("ok", outcome.result, runner._locals[outcome.index])
+        if outcome.ok
+        else (
+            "error",
+            outcome.error.exc_type,
+            outcome.error.message,
+            outcome.error.traceback,
+        )
+        for outcome in runner.run()
+    ]
+
+
 class _OutcomeRunner:
-    """One fault-tolerant sweep execution: state + the retry/rebuild loop."""
+    """One sweep execution: state + the retry/rebuild loop.
+
+    The only code that executes specs.  ``jobs``, ``batch`` and
+    ``cache`` resolve exactly as in :func:`run_specs`.  A ``fail_fast``
+    runner (``options`` must allow no retries) raises the first
+    permanent failure's original exception instead of isolating it.
+    ``config`` overrides the worker-local telemetry configuration that
+    is otherwise derived from the sink (the shard worker has no sink).
+    """
 
     def __init__(
         self,
         specs: list[WorkSpec],
-        jobs: int,
-        sink,
+        jobs: int | None,
+        telemetry,
         options: SweepOptions,
-        batch: int = 1,
+        batch: int | None = None,
         cache=None,
+        *,
+        fail_fast: bool = False,
+        config: TelemetryConfig | None = None,
     ) -> None:
         self.specs = specs
-        self.jobs = jobs
-        self.sink = sink
+        self.sink = ensure_telemetry(telemetry)
+        self.jobs = resolve_jobs(jobs, len(specs))
+        # Explicit argument > options.batch > process-wide default.
+        self.batch = batch = resolve_batch(
+            options.batch if batch is None else batch
+        )
         self.options = options
-        self.batch = batch
+        self.fail_fast = fail_fast
         #: The cross-sweep result cache, or None (see resolve_cache).
         self.cache = resolve_cache(cache)
         #: Per-spec cache keys, computed only when the cache is on.
@@ -1279,11 +960,11 @@ class _OutcomeRunner:
         #: failure (timeout, group-level error) its lanes re-run as
         #: singletons so blame is attributable on the next attempt.
         self._no_batch: set[int] = set()
-        self.config = (
-            _worker_telemetry_config(getattr(sink, "config", None))
-            if sink.enabled
-            else None
-        )
+        if config is None and self.sink.enabled:
+            config = _worker_telemetry_config(
+                getattr(self.sink, "config", None)
+            )
+        self.config = config
         n = len(specs)
         self.outcomes: list[SpecOutcome | None] = [None] * n
         #: Worker-local telemetry of live successful runs, by index.
@@ -1439,8 +1120,15 @@ class _OutcomeRunner:
         exc_type: str,
         message: str,
         traceback: str = "",
+        error: BaseException | None = None,
     ) -> bool:
-        """Handle one failed attempt; True if the spec should retry."""
+        """Handle one failed attempt; True if the spec should retry.
+
+        A fail-fast runner raises a permanent failure right here: the
+        spec's own exception ``error``, or -- when none survived the
+        trip back from a worker (a crash, an unpicklable exception) --
+        a :class:`~repro.errors.SweepError` carrying the outcome.
+        """
         spec = self.specs[index]
         retry = self.options.retry
         if attempt < retry.max_retries:
@@ -1458,7 +1146,7 @@ class _OutcomeRunner:
             if delay > 0:
                 time.sleep(delay)
             return True
-        self.outcomes[index] = SpecOutcome(
+        outcome = self.outcomes[index] = SpecOutcome(
             spec=spec,
             index=index,
             error=SpecFailure(
@@ -1479,20 +1167,39 @@ class _OutcomeRunner:
                 attempts=attempt + 1,
                 exc_type=exc_type,
             )
+        if self.fail_fast:
+            if error is None:
+                error = SweepError(
+                    f"{spec.benchmark}/{spec.policy}[seed={spec.seed}] "
+                    f"{outcome.error}",
+                    [outcome],
+                )
+            raise error
         return False
 
     # -- execution -----------------------------------------------------------
     def run(self) -> list[SpecOutcome]:
-        queue = self._open_journal()
-        if queue:
-            # Timeouts are only enforceable on a pool (a hung in-process
-            # spec cannot be preempted), so jobs=1 with a timeout runs
-            # on a one-worker pool; plain jobs=1 stays in-process.
-            if self.jobs <= 1 and self.options.timeout_seconds is None:
-                self._run_serial(queue)
-            else:
-                self._run_pool(queue)
-        return [outcome for outcome in self.outcomes]  # all filled now
+        """Execute every unsettled spec; outcomes in spec order.
+
+        However the sweep ends -- completed, interrupted, or stopped by
+        a fail-fast failure -- the journal closes, the cache flushes,
+        and the settled runs' telemetry folds into the sink.
+        """
+        try:
+            queue = self._open_journal()
+            if queue:
+                # Timeouts are only enforceable on a pool (a hung
+                # in-process spec cannot be preempted), so jobs=1 with
+                # a timeout runs on a one-worker pool; plain jobs=1
+                # stays in-process.
+                if self.jobs <= 1 and self.options.timeout_seconds is None:
+                    self._run_serial(queue)
+                else:
+                    self._run_pool(queue)
+            return list(self.outcomes)  # all filled now
+        finally:
+            self.close()
+            self.fold_telemetry()
 
     def _next_group(self, queue: deque) -> list[tuple[int, int]]:
         """Pop the leading lane group: compatible consecutive specs.
@@ -1520,63 +1227,33 @@ class _OutcomeRunner:
             lanes.append(queue.popleft())
         return lanes
 
-    def _settle_lane_payload(
-        self, index: int, attempt: int, payload: tuple, queue: deque
+    def _settle(
+        self, lanes: list[tuple[int, int]], payloads: list[tuple], queue
     ) -> None:
-        """Apply one lane's worker payload (success or captured error)."""
-        if payload[0] == "ok":
-            _, result, local = payload
-            self._finish_success(index, attempt, result, local)
-        else:
-            _, exc_type, message, tb = payload
-            if self._register_failure(
-                index, attempt, "error", exc_type, message, tb
-            ):
-                queue.append((index, attempt + 1))
+        """Apply each lane's payload in lane order; retries join ``queue``."""
+        for (index, attempt), payload in zip(lanes, payloads):
+            if payload[0] == "ok":
+                _, result, local = payload
+                self._finish_success(index, attempt, result, local)
+            else:
+                _, exc_type, message, tb, error = payload
+                if self._register_failure(
+                    index, attempt, "error", exc_type, message, tb, error
+                ):
+                    queue.append((index, attempt + 1))
 
     def _run_serial(self, queue: deque) -> None:
         """In-process execution: isolation + retries, no preemption."""
         while queue:
             lanes = self._next_group(queue)
+            specs = [self.specs[index] for index, _ in lanes]
             if len(lanes) > 1:
-                locals_ = _group_locals(len(lanes), self.config)
-                outcomes = run_spec_lanes(
-                    [self.specs[i] for i, _ in lanes], locals_
+                payloads = _run_group_payloads(
+                    specs, self.config, portable=False
                 )
-                for (index, attempt), outcome, local in zip(
-                    lanes, outcomes, locals_
-                ):
-                    if outcome.error is None:
-                        self._finish_success(
-                            index, attempt, outcome.result, local
-                        )
-                    elif self._register_failure(
-                        index,
-                        attempt,
-                        "error",
-                        type(outcome.error).__name__,
-                        str(outcome.error),
-                        "".join(
-                            traceback_module.format_exception(outcome.error)
-                        ),
-                    ):
-                        queue.append((index, attempt + 1))
-                continue
-            index, attempt = lanes[0]
-            try:
-                result, local = _run_spec(self.specs[index], self.config)
-            except Exception as error:
-                if self._register_failure(
-                    index,
-                    attempt,
-                    "error",
-                    type(error).__name__,
-                    str(error),
-                    traceback_module.format_exc(),
-                ):
-                    queue.append((index, attempt + 1))
             else:
-                self._finish_success(index, attempt, result, local)
+                payloads = [_spec_payload(specs[0], self.config)]
+            self._settle(lanes, payloads, queue)
 
     def _harvest_in_flight(self, in_flight: deque) -> list[tuple[int, int]]:
         """After a pool death: settle finished futures, list the lost.
@@ -1593,41 +1270,27 @@ class _OutcomeRunner:
                 survivors.extend(lanes)
                 continue
             error = future.exception()
-            if error is None:
-                payload = future.result()
-                if len(lanes) == 1:
-                    index, attempt = lanes[0]
-                    result, local = payload
-                    self._finish_success(index, attempt, result, local)
-                else:
-                    retries: deque = deque()
-                    for (index, attempt), item in zip(lanes, payload):
-                        self._settle_lane_payload(
-                            index, attempt, item, retries
-                        )
-                    survivors.extend(retries)
-            elif isinstance(error, BrokenExecutor):
+            if isinstance(error, BrokenExecutor):
                 survivors.extend(lanes)
-            elif len(lanes) == 1:
-                # The spec raised normally just before the pool died:
-                # attributable, so charge it like any worker error.
-                index, attempt = lanes[0]
-                if self._register_failure(
-                    index,
-                    attempt,
-                    "error",
-                    type(error).__name__,
-                    str(error),
-                    "".join(traceback_module.format_exception(error)),
-                ):
-                    survivors.append((index, attempt + 1))
-            else:
+            elif error is not None and len(lanes) > 1:
                 # A batched group raised at group level (not one
                 # lane's captured failure): unattributable, so the
                 # lanes requeue uncharged as batching-exempt
                 # singletons and blame lands on the next attempt.
                 self._no_batch.update(i for i, _ in lanes)
                 survivors.extend(lanes)
+            else:
+                # Finished, or the spec raised normally just before the
+                # pool died: attributable, so charge it like any error.
+                retries: deque = deque()
+                self._settle(
+                    lanes,
+                    _task_payloads(lanes, future.result())
+                    if error is None
+                    else [_error_payload(error)],
+                    retries,
+                )
+                survivors.extend(retries)
         return survivors
 
     def _handle_timeout(self, index: int, attempt: int) -> bool:
@@ -1838,9 +1501,6 @@ class _OutcomeRunner:
                         if unattributed_deaths > options.max_pool_rebuilds:
                             self._degrade(queue, solo, unattributed_deaths)
                             return
-                except KeyboardInterrupt:
-                    _kill_pool(pool)
-                    raise
                 except Exception as error:
                     # The spec raised inside the worker; the pool is
                     # fine.  The remote traceback rides along as the
@@ -1853,28 +1513,15 @@ class _OutcomeRunner:
                         # batching-exempt singletons.
                         self._no_batch.update(i for i, _ in lanes)
                         queue.extendleft(reversed(lanes))
-                    elif self._register_failure(
-                        index,
-                        attempt,
-                        "error",
-                        type(error).__name__,
-                        str(error),
-                        "".join(
-                            traceback_module.format_exception(error)
-                        ),
-                    ):
-                        queue.append((index, attempt + 1))
-                else:
-                    if len(lanes) == 1:
-                        result, local = payload
-                        self._finish_success(index, attempt, result, local)
                     else:
-                        for (lane_index, lane_attempt), item in zip(
-                            lanes, payload
-                        ):
-                            self._settle_lane_payload(
-                                lane_index, lane_attempt, item, queue
-                            )
+                        self._settle(lanes, [_error_payload(error)], queue)
+                else:
+                    self._settle(lanes, _task_payloads(lanes, payload), queue)
+        except BaseException:
+            # An interrupt or a fail-fast failure abandons the sweep:
+            # stop the workers still running specs nobody will collect.
+            _kill_pool(pool)
+            raise
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 

@@ -199,17 +199,26 @@ def run_suite(
     Returns results keyed by ``(benchmark, policy)``; the unmanaged
     baseline is included under policy name ``"none"`` unless disabled.
 
-    A single ``telemetry`` instance is shared across every run: trace
-    records are tagged with their (benchmark, policy) context, metrics
-    aggregate over the whole sweep, and the profiler accumulates one
-    ``sweep.run_suite`` span around per-run ``engine.run`` spans.
+    The matrix runs as :class:`~repro.sim.parallel.WorkSpec` values
+    through :func:`~repro.sim.parallel.run_specs`, so ``jobs``,
+    ``options``, ``batch``, ``cluster`` and ``cache`` mean exactly what
+    they mean there, defaults included.  Results are bit-identical
+    whatever the combination (property-tested).
 
-    ``jobs`` fans the matrix out over worker processes via
-    :mod:`repro.sim.parallel` (``None`` defers to
-    :func:`~repro.sim.parallel.get_default_jobs`, ``0`` means all
-    cores).  Results and folded-back telemetry are bit-identical to the
-    serial sweep (property-tested); only profiler spans differ, as the
-    per-run ``engine.run`` spans happen in worker processes.
+    One ``telemetry`` sink observes the whole sweep: every run records
+    into its own local sink, which folds into ``telemetry`` in matrix
+    order, so trace records carry their (benchmark, policy) context and
+    metrics aggregate over the sweep.  The profiler holds one
+    ``sweep.run_suite`` span plus the runs' merged spans (one
+    ``engine.run`` per run), which are not nested under it.
+
+    ``jobs`` fans the matrix out over worker processes (``None`` defers
+    to :func:`~repro.sim.parallel.get_default_jobs`, ``0`` means all
+    cores).  ``batch`` is the lane-batch width (see
+    :mod:`repro.sim.batch`): groups of up to ``batch`` compatible runs
+    advance through one vectorized
+    :class:`~repro.sim.batch.BatchEngine` kernel, inside each worker
+    process when ``jobs > 1``.
 
     ``options`` (a :class:`~repro.sim.parallel.SweepOptions`, or the
     process-wide default installed via
@@ -219,22 +228,15 @@ def run_suite(
     permanently under a non-strict policy is *omitted* from the
     returned mapping (its ``sweep.spec_failed`` event carries the
     details); with ``options.strict`` the sweep raises one aggregated
-    :class:`~repro.errors.SweepError` instead.
-
-    ``batch`` is the lane-batch width (see :mod:`repro.sim.batch`):
-    groups of up to ``batch`` compatible runs advance through one
-    vectorized :class:`~repro.sim.batch.BatchEngine` kernel, inside
-    each worker process when ``jobs > 1``.  ``None`` defers to
-    :func:`~repro.sim.parallel.get_default_batch`.  Batched results
-    and telemetry are bit-identical to the serial sweep.
+    :class:`~repro.errors.SweepError` instead.  Without options the
+    sweep is fail-fast: the first failing run's exception propagates.
 
     ``cluster`` (a :class:`~repro.sim.distributed.ClusterConfig`, or
     the process-wide default installed via
     :func:`~repro.sim.parallel.set_default_cluster`) shards the matrix
     across distributed workers instead of executing locally: this
     process becomes the coordinator, and ``jobs``/``batch`` apply on
-    each worker's own command line.  Results and telemetry stay
-    bit-identical to the local sweep (see docs/performance.md,
+    each worker's own command line (see docs/performance.md,
     "Level 4").
 
     ``cache`` routes the matrix through the cross-sweep result cache
@@ -245,78 +247,36 @@ def run_suite(
     docs/performance.md, "Level 5".
     """
     # Imported here: parallel builds on this module's run_one/defaults.
-    from repro.sim.parallel import (
-        get_default_cluster,
-        get_default_sweep_options,
-        matrix_specs,
-        resolve_batch,
-        resolve_cache,
-        resolve_jobs,
-        run_specs,
-    )
+    from repro.sim.parallel import matrix_specs, run_specs
 
     instructions = _validate_instructions(instructions)
     telemetry = ensure_telemetry(telemetry)
-    chosen_benchmarks = (
-        list(benchmarks) if benchmarks is not None else list(BENCHMARKS)
+    specs = matrix_specs(
+        list(benchmarks) if benchmarks is not None else list(BENCHMARKS),
+        policies,
+        seeds=(seed,),
+        include_baseline=include_baseline,
+        instructions=instructions,
+        floorplan=floorplan,
+        machine=machine,
+        thermal_config=thermal_config,
+        dtm_config=dtm_config,
     )
-    chosen_policies = list(policies)
-    if include_baseline and "none" not in chosen_policies:
-        chosen_policies.insert(0, "none")
-    results: dict[tuple[str, str], RunResult] = {}
-    jobs = resolve_jobs(jobs, len(chosen_benchmarks) * len(chosen_policies))
-    batch = resolve_batch(batch)
-    if options is None:
-        options = get_default_sweep_options()
-    if cluster is None:
-        cluster = get_default_cluster()
-    store = resolve_cache(cache)
-    if (
-        jobs > 1
-        or options is not None
-        or batch > 1
-        or cluster is not None
-        or store is not None
-    ):
-        specs = matrix_specs(
-            chosen_benchmarks,
-            chosen_policies,
-            seeds=(seed,),
-            instructions=instructions,
-            floorplan=floorplan,
-            machine=machine,
-            thermal_config=thermal_config,
-            dtm_config=dtm_config,
-        )
-        with telemetry.span("sweep.run_suite"):
-            run_results = run_specs(
-                specs,
-                jobs=jobs,
-                telemetry=telemetry,
-                options=options,
-                batch=batch,
-                cluster=cluster,
-                cache=store if store is not None else False,
-            )
-        for spec, result in zip(specs, run_results):
-            if result is not None:
-                results[(spec.benchmark, spec.policy)] = result
-        return results
     with telemetry.span("sweep.run_suite"):
-        for benchmark in chosen_benchmarks:
-            for policy_name in chosen_policies:
-                results[(benchmark, policy_name)] = run_one(
-                    benchmark,
-                    policy_name,
-                    instructions=instructions,
-                    floorplan=floorplan,
-                    machine=machine,
-                    thermal_config=thermal_config,
-                    dtm_config=dtm_config,
-                    seed=seed,
-                    telemetry=None if not telemetry.enabled else telemetry,
-                )
-    return results
+        results = run_specs(
+            specs,
+            jobs=jobs,
+            telemetry=telemetry,
+            options=options,
+            batch=batch,
+            cluster=cluster,
+            cache=cache,
+        )
+    return {
+        (spec.benchmark, spec.policy): result
+        for spec, result in zip(specs, results)
+        if result is not None
+    }
 
 
 def suite_summary(

@@ -269,9 +269,10 @@ def merge_telemetry(sink, source) -> None:
     one policy's temperature series out cleanly) record into a local
     :class:`Telemetry` and fold it into the caller's shared sink
     afterwards: retained trace records and events are re-emitted onto
-    the sink's recorder (subject to its own retention policy) and
-    metrics merge under the registry's associative fold.  Span timings
-    are per-process wall-clock and are deliberately not merged.
+    the sink's recorder (subject to its own retention policy), metrics
+    merge under the registry's associative fold, and span statistics
+    add up (spans are durations, so they fold across processes too).
+    Merged spans are not nested under any span open on the sink.
 
     No-op when ``sink`` is ``None`` or disabled.
     """
@@ -283,5 +284,6 @@ def merge_telemetry(sink, source) -> None:
     for event in source.trace.events:
         sink.trace.events.append(event)
     sink.metrics.merge_snapshot(source.metrics.snapshot())
+    sink.profiler.merge(source.profiler)
     if source.meta:
         sink.meta.update(source.meta)

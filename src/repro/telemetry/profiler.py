@@ -109,6 +109,22 @@ class Profiler:
         with self.span(name):
             return fn(*args, **kwargs)
 
+    def merge(self, other: "Profiler | NullProfiler") -> None:
+        """Fold another profiler's span statistics into this one.
+
+        Counts, totals and self times add; min and max combine.  The
+        merged spans are not nested under any span open here.
+        """
+        for name, theirs in getattr(other, "_stats", {}).items():
+            ours = self._stats.get(name)
+            if ours is None:
+                ours = self._stats[name] = SpanStats(name)
+            ours.count += theirs.count
+            ours.total += theirs.total
+            ours.self_total += theirs.self_total
+            ours.min = min(ours.min, theirs.min)
+            ours.max = max(ours.max, theirs.max)
+
     # -- read side -----------------------------------------------------------
     def stats(self, name: str) -> SpanStats:
         """Statistics for one span name (raises if never entered)."""
@@ -182,6 +198,9 @@ class NullProfiler:
     def time(self, name: str, fn: Callable, *args, **kwargs):
         """Call ``fn`` directly."""
         return fn(*args, **kwargs)
+
+    def merge(self, other) -> None:
+        """Profiling is off here: nothing is kept."""
 
     def names(self) -> tuple[str, ...]:
         """No spans are ever recorded."""

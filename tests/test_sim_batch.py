@@ -33,6 +33,7 @@ from repro.sim.batch import (
     run_spec_lanes,
     validate_batch,
 )
+from repro.sim.cache import ResultCache, cache_key
 from repro.sim.checkpoint import (
     load_checkpoint,
     result_from_dict,
@@ -139,6 +140,34 @@ class TestValidation:
     def test_sweep_options_rejects_bad_batch(self, bad):
         with pytest.raises(ConfigError):
             SweepOptions(batch=bad)
+
+    @pytest.mark.parametrize(
+        "bad", [float("inf"), float("nan"), True, 0, -1.0, "5"]
+    )
+    def test_sweep_options_rejects_bad_timeout(self, bad):
+        with pytest.raises(ConfigError):
+            SweepOptions(timeout_seconds=bad)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["backoff_seconds", "backoff_multiplier", "max_backoff_seconds"],
+    )
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf"), True]
+    )
+    def test_retry_policy_rejects_non_finite_and_bool(self, name, bad):
+        with pytest.raises(ConfigError):
+            RetryPolicy(max_retries=2, **{name: bad})
+
+    def test_finite_timeouts_and_backoffs_accepted(self):
+        assert SweepOptions(timeout_seconds=2).timeout_seconds == 2
+        policy = RetryPolicy(
+            max_retries=2,
+            backoff_seconds=1,
+            backoff_multiplier=1,
+            max_backoff_seconds=0.5,
+        )
+        assert policy.delay(2) == 0.5
 
     def test_sweep_options_accepts_none_and_int(self):
         assert SweepOptions().batch is None
@@ -397,6 +426,33 @@ class TestExecutorBatch:
         for jobs in (1, 2):
             with pytest.raises(SimulationError):
                 run_specs(specs, jobs=jobs, batch=4)
+
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fail_fast_keeps_what_settled_before_the_failure(
+        self, jobs, batch, cached, tmp_path
+    ):
+        specs = [
+            WorkSpec(benchmark="gcc", policy="none", instructions=60_000),
+            WorkSpec(benchmark="gzip", policy="pid", instructions=-5),
+            WorkSpec(benchmark="art", policy="pid", instructions=60_000),
+        ]
+        store = ResultCache(tmp_path / "cache") if cached else False
+        telemetry = quiet_telemetry()
+        with pytest.raises(SimulationError):
+            run_specs(
+                specs, jobs=jobs, batch=batch, telemetry=telemetry,
+                cache=store,
+            )
+        # Only the spec settled before the failure folds its telemetry
+        # and, with a cache, keeps its entry.
+        contexts = {(r.benchmark, r.policy) for r in telemetry.trace.records()}
+        assert contexts == {("gcc", "none")}
+        if cached:
+            assert store.lookup(cache_key(specs[0])) is not None
+            assert store.lookup(cache_key(specs[2])) is None
 
 
 class TestCheckpointCrossBackend:

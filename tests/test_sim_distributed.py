@@ -406,6 +406,25 @@ class TestExecutePayloads:
         assert traceback  # captured for the coordinator's diagnostics
 
 
+    @pytest.mark.parametrize("jobs,batch", [(1, 1), (2, 4)])
+    def test_payloads_for_every_jobs_and_batch(self, jobs, batch):
+        specs = [
+            WorkSpec(benchmark=name, policy="pid", instructions=INSTRUCTIONS)
+            for name in ("gcc", "__nope__", "gzip")
+        ]
+        config = TelemetryConfig(sample_latency=False, profile=False)
+        payloads = execute_payloads(
+            specs, jobs=jobs, batch=batch, telemetry_config=config
+        )
+        assert [p[0] for p in payloads] == ["ok", "error", "ok"]
+        for spec, payload in zip(specs[::2], payloads[::2]):
+            assert len(payload) == 3
+            assert_results_equal(payload[1], run_outcomes([spec])[0].result)
+            assert payload[2].trace.records()  # the run's local telemetry
+        kind, exc_type, message, traceback = payloads[1]
+        assert "__nope__" in message and traceback
+
+
 # -- the distributed <-> serial bit-identity contract -------------------------
 #: Built once per session: the serial reference sweep (journaled) and
 #: one checkpointed 2-worker distributed sweep over the same specs.

@@ -272,6 +272,38 @@ class TestSweepTelemetry:
         assert telemetry.profiler.stats("sweep.run_suite").count == 1
         assert telemetry.profiler.stats("engine.run").count == 2
 
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_pooled_run_suite_merges_per_run_spans(self, batch):
+        telemetry = Telemetry()
+        results = run_suite(
+            ["pid", "toggle1"],
+            benchmarks=["gzip", "gcc"],
+            instructions=150_000,
+            telemetry=telemetry,
+            jobs=2,
+            batch=batch,
+        )
+        assert len(results) == 6
+        assert telemetry.profiler.stats("sweep.run_suite").count == 1
+        assert telemetry.profiler.stats("engine.run").count == len(results)
+        assert telemetry.profiler.stats("dtm.on_sample").count > 0
+
+    def test_merge_telemetry_folds_span_statistics(self):
+        sink = Telemetry()
+        first, second = Telemetry(), Telemetry()
+        run_one("gzip", "pid", instructions=150_000, telemetry=first)
+        run_one("gcc", "pid", instructions=150_000, telemetry=second)
+        merge_telemetry(sink, first)
+        merge_telemetry(sink, second)
+        merged = sink.profiler.stats("engine.run")
+        a = first.profiler.stats("engine.run")
+        b = second.profiler.stats("engine.run")
+        assert merged.count == 2
+        assert merged.total == a.total + b.total
+        assert merged.self_total == a.self_total + b.self_total
+        assert merged.min == min(a.min, b.min)
+        assert merged.max == max(a.max, b.max)
+
     def test_merge_telemetry_folds_runs(self):
         sink = Telemetry()
         local = Telemetry()
