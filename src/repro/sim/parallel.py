@@ -49,8 +49,10 @@ Telemetry follows one model at every ``jobs`` and ``batch``: each run
 records into a *retain-everything* worker-local
 :class:`~repro.telemetry.core.Telemetry` (huge capacity, no decimation)
 and the runner re-emits each run's records onto the sink via
-:func:`~repro.telemetry.core.merge_telemetry` in spec order at the end
-of the sweep.  Trace decimation is a pure function of the emit
+:func:`~repro.telemetry.core.merge_telemetry` in spec order as soon as
+every earlier spec has settled, dropping each local once folded, so a
+sweep holds only the locals of runs that finished ahead of a slower
+earlier spec.  Trace decimation is a pure function of the emit
 sequence, so the sink retains the exact records, events, and metrics a
 single shared sink would have.  Two documented differences: a merged
 gauge's ``value`` is pinned to its extreme (merged updates have no
@@ -411,8 +413,9 @@ class SweepOptions:
       even when the fancy machinery is on fire.  Note the degraded
       mode cannot enforce timeouts and a worker crash becomes fatal.
     * ``window_factor`` -- bound on in-flight submissions
-      (``window_factor * jobs``), so multi-thousand-spec matrices do
-      not hold every pickled spec and pending result in memory.
+      (``window_factor * jobs``; a batched group is one submission),
+      so multi-thousand-spec matrices do not hold every pickled spec
+      and pending result in memory.
     * ``batch`` -- lane-batch width (see :mod:`repro.sim.batch`):
       consecutive compatible specs run through one vectorized
       :class:`~repro.sim.batch.BatchEngine` kernel, inside each pool
@@ -967,12 +970,15 @@ class _OutcomeRunner:
         self.config = config
         n = len(specs)
         self.outcomes: list[SpecOutcome | None] = [None] * n
-        #: Worker-local telemetry of live successful runs, by index.
+        #: Worker-local telemetry of live successful runs, by index;
+        #: dropped once folded into an enabled sink.
         self._locals: list[Telemetry | None] = [None] * n
         #: Journaled telemetry payloads of resumed outcomes, by index.
         self._saved_payloads: list[dict | None] = [None] * n
         self._journal: CheckpointJournal | None = None
         self._fingerprints: list[str | None] = [None] * n
+        #: Specs before this index are folded into the sink.
+        self._fold_cursor = 0
         self._folded = False
 
     # -- checkpoint and cache plumbing ---------------------------------------
@@ -1111,6 +1117,7 @@ class _OutcomeRunner:
                 local,
                 attempts=attempt + 1,
             )
+        self._fold_settled()
 
     def _register_failure(
         self,
@@ -1167,6 +1174,7 @@ class _OutcomeRunner:
                 attempts=attempt + 1,
                 exc_type=exc_type,
             )
+        self._fold_settled()
         if self.fail_fast:
             if error is None:
                 error = SweepError(
@@ -1187,6 +1195,7 @@ class _OutcomeRunner:
         """
         try:
             queue = self._open_journal()
+            self._fold_settled()
             if queue:
                 # Timeouts are only enforceable on a pool (a hung
                 # in-process spec cannot be preempted), so jobs=1 with
@@ -1346,9 +1355,6 @@ class _OutcomeRunner:
         # (lanes, future, deadline, is_solo); lanes = [(index, attempt)]
         in_flight: deque = deque()
 
-        def lanes_in_flight() -> int:
-            return sum(len(entry[0]) for entry in in_flight)
-
         def submit(lanes: list, is_solo: bool) -> None:
             if len(lanes) == 1:
                 future = pool.submit(
@@ -1383,7 +1389,10 @@ class _OutcomeRunner:
                             pending = [solo.popleft()]
                             submit(pending, True)
                     else:
-                        while queue and lanes_in_flight() < window:
+                        # The window bounds tasks, not lanes: a B-lane
+                        # group is one task, so jobs=J, batch=B keeps
+                        # every worker fed with up to window*B lanes.
+                        while queue and len(in_flight) < window:
                             pending = self._next_group(queue)
                             submit(pending, False)
                     pending = None
@@ -1484,7 +1493,9 @@ class _OutcomeRunner:
                         # crasher.  Everyone lost becomes a suspect and
                         # re-runs in isolation, uncharged.
                         unattributed_deaths += 1
-                        suspects = lanes_in_flight() + len(lanes)
+                        suspects = len(lanes) + sum(
+                            len(entry[0]) for entry in in_flight
+                        )
                         if self.sink.enabled:
                             self.sink.event(
                                 "sweep.pool_crash",
@@ -1550,27 +1561,51 @@ class _OutcomeRunner:
         self._run_serial(remaining)
 
     # -- telemetry folding ---------------------------------------------------
-    def fold_telemetry(self) -> None:
-        """Fold completed runs' telemetry into the sink, in spec order.
-
-        Deferred to the end of the sweep (idempotent; also called on
-        KeyboardInterrupt): retries and crash re-runs complete out of
-        spec order, and only a strict in-spec-order fold reproduces the
-        serial emit sequence the decimation/parity guarantees rest on.
-        Failed specs contribute nothing -- a half-run's telemetry would
-        poison determinism.
-        """
-        if self._folded or not self.sink.enabled:
-            return
-        self._folded = True
-        for index in range(len(self.specs)):
-            outcome = self.outcomes[index]
-            if outcome is None or outcome.error is not None:
-                continue
+    def _fold_one(self, index: int) -> None:
+        """Fold one settled spec's telemetry into the sink; drop it."""
+        outcome = self.outcomes[index]
+        if outcome.error is None:
             if outcome.from_checkpoint or outcome.from_cache:
                 fold_saved_telemetry(self.sink, self._saved_payloads[index])
             elif self._locals[index] is not None:
                 merge_telemetry(self.sink, self._locals[index])
+        self._locals[index] = None
+        self._saved_payloads[index] = None
+
+    def _fold_settled(self) -> None:
+        """Fold the leading run of settled specs, in spec order.
+
+        Called after every settlement: retries and crash re-runs
+        complete out of spec order, and only a strict in-spec-order
+        fold reproduces the serial emit sequence the decimation/parity
+        guarantees rest on.  Failed specs contribute nothing -- a
+        half-run's telemetry would poison determinism.  With a
+        disabled sink nothing folds and the locals stay (the shard
+        worker returns them).
+        """
+        if self._folded or not self.sink.enabled:
+            return
+        while (
+            self._fold_cursor < len(self.specs)
+            and self.outcomes[self._fold_cursor] is not None
+        ):
+            self._fold_one(self._fold_cursor)
+            self._fold_cursor += 1
+
+    def fold_telemetry(self) -> None:
+        """End of sweep: fold every remaining settled spec, in spec order.
+
+        Idempotent; also runs when an interrupt or a fail-fast failure
+        stops the sweep, so specs settled past an unsettled one still
+        fold.
+        """
+        if self._folded or not self.sink.enabled:
+            return
+        self._folded = True
+        for index in range(self._fold_cursor, len(self.specs)):
+            if self.outcomes[index] is not None:
+                self._fold_one(index)
+        self._fold_cursor = len(self.specs)
         if self.specs:
             last = self.specs[-1]
             self.sink.set_context(last.benchmark, last.policy)

@@ -454,6 +454,50 @@ class TestExecutorBatch:
             assert store.lookup(cache_key(specs[0])) is not None
             assert store.lookup(cache_key(specs[2])) is None
 
+    @pytest.mark.parametrize("jobs,batch", [(2, 8), (3, 8)])
+    def test_pool_window_keeps_every_worker_fed(
+        self, jobs, batch, monkeypatch
+    ):
+        # The submission window counts groups, not lanes: jobs=J,
+        # batch=B must have at least J groups in flight before the
+        # runner first waits on one.
+        from concurrent.futures import Future
+
+        from repro.sim import parallel
+
+        submitted: list[Future] = []
+        in_flight_at_first_wait: list[int] = []
+
+        class Settled(Future):
+            def result(self, timeout=None):
+                if not in_flight_at_first_wait:
+                    in_flight_at_first_wait.append(len(submitted))
+                return super().result(timeout)
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, *args):
+                future = Settled()
+                future.set_result(fn(*args))
+                submitted.append(future)
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", InlinePool)
+        specs = matrix_specs(
+            ["gcc", "gzip"], ["pid"], seeds=range(jobs * batch // 2),
+            instructions=20_000,
+        )
+        results = run_specs(specs, jobs=jobs, batch=batch)
+        assert len(submitted) == jobs
+        assert in_flight_at_first_wait == [jobs]
+        for a, b in zip(run_specs(specs, jobs=1), results):
+            assert_results_equal(a, b)
+
 
 class TestCheckpointCrossBackend:
     def _specs(self):

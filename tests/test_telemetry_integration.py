@@ -288,6 +288,33 @@ class TestSweepTelemetry:
         assert telemetry.profiler.stats("engine.run").count == len(results)
         assert telemetry.profiler.stats("dtm.on_sample").count > 0
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_drops_each_local_once_folded(self, jobs, monkeypatch):
+        # Runs settle in spec order here, so each one folds into the
+        # sink as it settles and no worker-local sink outlives its fold.
+        from repro.sim import parallel
+
+        held = []
+        finish = parallel._OutcomeRunner._finish_success
+
+        def spy(self, *args):
+            finish(self, *args)
+            held.append(sum(local is not None for local in self._locals))
+
+        monkeypatch.setattr(
+            parallel._OutcomeRunner, "_finish_success", spy
+        )
+        telemetry = Telemetry()
+        results = run_suite(
+            ["pid", "toggle1"],
+            benchmarks=["gzip", "gcc"],
+            instructions=100_000,
+            telemetry=telemetry,
+            jobs=jobs,
+        )
+        assert held == [0] * len(results)
+        assert telemetry.profiler.stats("engine.run").count == len(results)
+
     def test_merge_telemetry_folds_span_statistics(self):
         sink = Telemetry()
         first, second = Telemetry(), Telemetry()
