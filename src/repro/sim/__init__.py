@@ -12,8 +12,9 @@ Two engines share the power, thermal, controller, and DTM code:
   (experiment C1).
 
 :class:`~repro.sim.batch.BatchEngine` stacks B independent fast-engine
-runs (lanes) through one structure-of-arrays kernel, bit-identical to
-running each lane serially; ``run_specs(..., batch=B)`` composes it
+runs (lanes) through the structure-of-arrays kernel a single
+``FastEngine`` run uses with one lane, bit-identical to running each
+lane serially; ``run_specs(..., batch=B)`` composes it
 with the process-level executor.  :mod:`repro.sim.distributed` shards
 a sweep across machines (``run_suite(..., cluster=...)``), with the
 same bit-identity contract.

@@ -1,14 +1,14 @@
 """The fast engine: sample-granularity simulation for paper-scale sweeps.
 
 One iteration covers one controller sampling interval (1000 cycles).
-Per sample the engine:
+Per sample the kernel:
 
 1. looks up the workload phase at the current committed-instruction
    position and draws its jittered activity vector and demand IPC
    (seeded -- runs are bit-reproducible);
 2. asks the :class:`~repro.dtm.manager.DTMManager` for the fetch duty,
-   given the hottest block temperature at the sample boundary (exactly
-   the paper's sensor/controller timing);
+   given the hottest (monitored) block temperature at the sample
+   boundary (exactly the paper's sensor/controller timing);
 3. converts duty to throughput: the front end can supply at most
    ``duty * fetch_width * supply_efficiency`` instructions per cycle,
    so the sample commits ``min(demand, supply)`` IPC -- low-ILP phases
@@ -16,10 +16,20 @@ Per sample the engine:
    that "the program's ILP characteristics [can] permit the DTM
    mechanism to work well without penalizing performance";
 4. scales structure activity by the achieved throughput ratio, turns
-   it into per-block power (Wattch CC3), and advances the lumped RC
-   model with the *exact* exponential update;
+   it into per-block power (Wattch CC3, plus optional leakage), and
+   advances the lumped RC model with the *exact* exponential update;
 5. accounts emergency/stress time with sub-sample accuracy from the
    closed-form trajectory.
+
+There is one implementation of that loop, :func:`run_lanes`.  It steps
+any number of independent runs ("lanes") that share one floorplan,
+machine, thermal, and DTM configuration in lock-step: the whole chip
+is one recurrence ``T[k+1] = A T[k] + B P[k]``, and a batch of runs is
+that recurrence with one row per run.  :meth:`FastEngine.run` is the
+one-lane case; :class:`repro.sim.batch.BatchEngine` is the B-lane case.
+``tests/test_sim_reference.py`` pins the kernel bit-identical to the
+original serial body, frozen as
+:class:`repro.sim.reference.ReferenceFastEngine`.
 
 ``supply_efficiency`` is calibrated against the detailed core
 (experiment C1).
@@ -29,6 +39,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from contextlib import ExitStack
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -37,7 +49,6 @@ from repro.config import DTMConfig, MachineConfig, ThermalConfig
 from repro.dtm.manager import DTMManager
 from repro.dtm.policies import NoDTMPolicy
 from repro.errors import SimulationError
-from repro.power.clock_gating import ClockGatingStyle
 from repro.power.wattch import PowerModel
 from repro.sim.results import History, RunResult
 from repro.telemetry.core import ensure_telemetry
@@ -61,25 +72,17 @@ DEFAULT_SUPPLY_EFFICIENCY = 0.80
 KERNEL_VERSION = "fast-kernel/v1"
 
 
-def _grow(buffer: np.ndarray, capacity: int) -> np.ndarray:
-    """Double a history buffer, preserving its leading rows."""
-    grown = np.empty((capacity, *buffer.shape[1:]))
-    grown[: len(buffer)] = buffer
-    return grown
-
-
 def build_phase_tables(
     profile: BenchmarkProfile, names: tuple[str, ...]
 ) -> tuple[list[int], list[np.ndarray], list[float], list[float]]:
-    """Prebuilt per-phase lookup tables for the fused sample kernel.
+    """Prebuilt per-phase lookup tables for the sample kernel.
 
     Returns ``(phase_ends, phase_activity, phase_jitter, phase_ipc)``:
     cumulative instruction boundaries (so the phase at a
     committed-instruction position is one ``bisect``), read-only
-    activity arrays, and scalar jitter/IPC per phase.  Shared by the
-    single-lane kernel (:meth:`FastEngine._run`) and the lane-batched
-    kernel (:class:`repro.sim.batch.BatchEngine`) so both look up the
-    exact same prebuilt arrays -- part of the bit-identity argument.
+    activity arrays, and scalar jitter/IPC per phase.  They replace the
+    original per-sample ``phase_at`` lookup and activity tuple rebuild
+    with the exact same values.
     """
     phase_ends: list[int] = []
     running = 0
@@ -97,6 +100,14 @@ def build_phase_tables(
     return phase_ends, phase_activity, phase_jitter, phase_ipc
 
 
+@dataclass
+class LaneOutcome:
+    """Terminal state of one lane: a result or the error that killed it."""
+
+    result: RunResult | None = None
+    error: BaseException | None = None
+
+
 class FastEngine:
     """Sample-granularity workload/power/thermal/DTM simulation."""
 
@@ -109,7 +120,6 @@ class FastEngine:
         thermal_config: ThermalConfig | None = None,
         dtm_config: DTMConfig | None = None,
         seed: int = 0,
-        gating: ClockGatingStyle = ClockGatingStyle.CC3,
         sensor=None,
         record_history: bool = False,
         supply_efficiency: float = DEFAULT_SUPPLY_EFFICIENCY,
@@ -143,7 +153,7 @@ class FastEngine:
             actuator=actuator,
             telemetry=telemetry,
         )
-        self.power_model = PowerModel(self.floorplan, gating=gating)
+        self.power_model = PowerModel(self.floorplan)
         self.thermal = LumpedThermalModel(
             self.floorplan,
             heatsink_temperature=self.thermal_config.heatsink_temperature,
@@ -193,351 +203,514 @@ class FastEngine:
         max_cycles: int | None,
         warmup_instructions: float,
     ) -> RunResult:
-        """The fused per-sample kernel.
+        """Run this engine as the only lane of :func:`run_lanes`."""
+        [outcome] = run_lanes(
+            [self], [instructions], [max_cycles], [warmup_instructions]
+        )
+        if outcome.error is not None:
+            raise outcome.error
+        return outcome.result
 
-        Optimized but **bit-identical** to the original (pinned as
-        :class:`repro.sim.reference.ReferenceFastEngine` and asserted
-        equal by ``tests/test_sim_reference.py``): every transformation
-        below is a pure strength reduction --
 
-        * per-phase activity vectors are prebuilt numpy arrays looked
-          up by committed-instruction position (no per-sample tuple
-          rebuild + ``np.array``);
-        * thermal state and power peaks are read through cached
-          read-only views (no defensive per-read copies);
-        * one fused :meth:`~repro.thermal.lumped.LumpedThermalModel.
-          advance_from` call returns ``(end, steady)`` and shares the
-          steady-state solve the original computed twice;
-        * the emergency and stress thresholds go through one broadcast
-          :meth:`~repro.thermal.lumped.LumpedThermalModel.
-          fractions_above` pass instead of two full kernels;
-        * history lands in preallocated (amortized-doubling) buffers
-          instead of a list of tuples + ``np.vstack``.
-        """
-        if instructions <= 0:
-            raise SimulationError("instructions must be positive")
-        sample = self.dtm_config.sampling_interval
-        sample_seconds = sample * self.machine.cycle_time
+class _Lane:
+    """Mutable state of one run inside :func:`run_lanes`."""
+
+    __slots__ = (
+        "engine", "slot", "profile", "policy", "manager", "telemetry",
+        "recording", "time_samples", "on_sample", "rng",
+        "phase_total", "phase_ends", "phase_activity", "phase_jitter",
+        "phase_ipc", "single_phase",
+        "fetch_supply", "leakage", "monitored",
+        "instructions", "max_cycles", "budget_remaining",
+        "warmup_remaining", "warmup_cycles", "warmup_samples",
+        "committed", "total_committed", "cycles",
+        "emergency_cycles", "stress_cycles",
+        "power_sum", "power_max", "energy_joules",
+        "interrupt_stalls", "samples",
+        "record_history", "hist_cap", "h_max_temp", "h_duty",
+        "h_chip_power", "h_temps", "h_powers", "h_em", "h_st",
+        # this sample's scalars
+        "sensed", "duty", "stall", "sample_committed", "chip_power",
+        "error",
+    )
+
+    def __init__(self, engine, slot, instructions, max_cycles, warmup,
+                 sample, block_count) -> None:
+        if not math.isfinite(instructions) or instructions <= 0:
+            raise SimulationError(
+                f"instructions must be a positive finite count, "
+                f"got {instructions!r}"
+            )
         if max_cycles is None:
             # Generous budget: even duty-0 policies eventually release.
-            max_cycles = int(40 * instructions / max(0.1, self.profile.mean_ipc))
-        emergency_level = self.thermal_config.emergency_temperature
-        stress_level = self.dtm_config.nonct_trigger
-        thresholds = (emergency_level, stress_level)
-        fetch_supply = self.machine.fetch_width * self.supply_efficiency
-
-        # Telemetry is opt-in: ``recording`` is hoisted into a local so
-        # the disabled path costs one boolean test per sample and the
-        # simulation arithmetic is untouched (bit-identical results).
-        telemetry = self.telemetry
-        recording = telemetry.enabled
-        time_samples = False
-        sample_start = 0.0
-        on_sample = self.manager.on_sample
-        if recording:
-            telemetry.set_context(self.profile.name, self.policy.name)
-            telemetry.meta.update(
-                benchmark=self.profile.name,
-                policy=self.policy.name,
-                block_names=list(self.floorplan.names),
-                sample_cycles=sample,
-                seed=self.seed,
-                supply_efficiency=self.supply_efficiency,
+            max_cycles = int(
+                40 * instructions / max(0.1, engine.profile.mean_ipc)
             )
-            time_samples = telemetry.config.sample_latency
+        self.engine = engine
+        self.slot = slot
+        self.profile = profile = engine.profile
+        self.policy = engine.policy
+        self.manager = engine.manager
+        self.error = None
+        self.instructions = instructions
+        self.max_cycles = max_cycles
+        # One shared budget for warmup + measurement (the original
+        # engine gave warmup its own ``max_cycles`` allowance on top of
+        # the main loop's -- regression-tested).
+        self.budget_remaining = max_cycles
+        self.warmup_remaining = float(warmup)
+        self.warmup_cycles = 0
+        self.warmup_samples = 0
+        self.fetch_supply = (
+            engine.machine.fetch_width * engine.supply_efficiency
+        )
+        self.leakage = engine.leakage
+        self.monitored = engine._monitored
+
+        # Telemetry is opt-in: ``recording`` is hoisted so the disabled
+        # path costs one boolean test per sample and the simulation
+        # arithmetic is untouched (bit-identical results).
+        self.telemetry = telemetry = engine.telemetry
+        self.recording = telemetry.enabled
+        self.time_samples = False
+        on_sample = engine.manager.on_sample
+        if self.recording:
+            telemetry.set_context(profile.name, engine.policy.name)
+            telemetry.meta.update(
+                benchmark=profile.name,
+                policy=engine.policy.name,
+                block_names=list(engine.floorplan.names),
+                sample_cycles=sample,
+                seed=engine.seed,
+                supply_efficiency=engine.supply_efficiency,
+            )
+            self.time_samples = telemetry.config.sample_latency
             if telemetry.profiler.enabled:
                 def on_sample(
                     sensed,
-                    _base=self.manager.on_sample,
+                    _base=engine.manager.on_sample,
                     _span=telemetry.profiler.span,
                 ):
                     with _span("dtm.on_sample"):
                         return _base(sensed)
+        self.on_sample = on_sample
 
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.profile.seed, self.seed])
+        self.rng = np.random.default_rng(
+            np.random.SeedSequence([profile.seed, engine.seed])
         )
-        names = self.floorplan.names
-        block_count = len(names)
+        self.phase_total = profile.total_instructions
+        (
+            self.phase_ends,
+            self.phase_activity,
+            self.phase_jitter,
+            self.phase_ipc,
+        ) = build_phase_tables(profile, engine.floorplan.names)
+        self.single_phase = len(self.phase_ends) == 1
 
-        # -- precomputed per-phase tables (replaces phase_at + the
-        # per-sample activity_vector tuple rebuild).  ``phase_ends``
-        # holds cumulative instruction boundaries, so the phase at a
-        # committed-instruction position is one bisect; the prebuilt
-        # activity arrays are marked read-only because the non-jittered
-        # path hands them straight to the power computation.
-        phase_total = self.profile.total_instructions
-        phase_ends, phase_activity, phase_jitter, phase_ipc = (
-            build_phase_tables(self.profile, names)
-        )
-        single_phase = len(phase_ends) == 1
+        self.committed = 0.0
+        self.total_committed = 0.0  # includes warmup; drives phase position
+        self.cycles = 0
+        self.emergency_cycles = 0.0
+        self.stress_cycles = 0.0
+        self.power_sum = 0.0
+        self.power_max = 0.0
+        self.energy_joules = 0.0
+        self.interrupt_stalls = 0
+        self.samples = 0
 
-        # -- hoisted hot-path handles (no per-sample attribute chains).
-        thermal = self.thermal
-        power_model = self.power_model
-        peaks = power_model.peaks_view
-        leakage = self.leakage
-        monitored = self._monitored
-        # CC3 (the default) is inlined; the clip in block_powers is a
-        # value-level no-op here because activity and ratio are both in
-        # [0, 1] by construction, so the inlined product is identical.
-        fused_cc3 = power_model.gating is ClockGatingStyle.CC3
-        idle = power_model.idle_fraction
-        active = 1.0 - idle
-        unmonitored_peak = self.floorplan.unmonitored_peak_power
+        # Preallocated history buffers (amortized doubling growth).
+        self.record_history = engine.record_history
+        self.hist_cap = 0
+        if self.record_history:
+            self.hist_cap = cap = 1024
+            self.h_max_temp = np.empty(cap)
+            self.h_duty = np.empty(cap)
+            self.h_chip_power = np.empty(cap)
+            self.h_temps = np.empty((cap, block_count))
+            self.h_powers = np.empty((cap, block_count))
+            self.h_em = np.empty((cap, block_count))
+            self.h_st = np.empty((cap, block_count))
 
-        committed = 0.0
-        warmup_remaining = float(warmup_instructions)
-        cycles = 0
-        emergency_cycles = 0.0
-        stress_cycles = 0.0
-        block_emergency = np.zeros(block_count)
-        block_stress = np.zeros(block_count)
-        temp_sum = np.zeros(block_count)
-        temp_max = np.full(block_count, -np.inf)
-        power_sum = 0.0
-        power_max = 0.0
-        energy_joules = 0.0
-        interrupt_stalls = 0
-        samples = 0
-        total_committed = 0.0  # includes warmup; drives phase position
-        # One shared budget for warmup + measurement (the original
-        # engine gave warmup its own ``max_cycles`` allowance on top of
-        # the main loop's, so a warmed-up run could simulate up to
-        # twice the requested budget -- regression-tested).
-        budget_remaining = max_cycles
-        warmup_cycles = 0
-        warmup_samples = 0
+        # The loop runs while budget remains: a run that cannot take its
+        # first step (``max_cycles`` of 0, negative or NaN) has no
+        # samples to report.
+        if not self.budget_remaining > 0:
+            raise _no_samples(self)
 
-        # -- preallocated history buffers (amortized doubling growth).
-        record_history = self.record_history
-        hist_cap = 0
-        if record_history:
-            hist_cap = 1024
-            h_max_temp = np.empty(hist_cap)
-            h_duty = np.empty(hist_cap)
-            h_chip_power = np.empty(hist_cap)
-            h_temps = np.empty((hist_cap, block_count))
-            h_powers = np.empty((hist_cap, block_count))
-            h_em = np.empty((hist_cap, block_count))
-            h_st = np.empty((hist_cap, block_count))
+    def grow_history(self) -> None:
+        """Double the history buffers, preserving their leading rows."""
+        self.hist_cap *= 2
+        for attr in (
+            "h_max_temp", "h_duty", "h_chip_power",
+            "h_temps", "h_powers", "h_em", "h_st",
+        ):
+            buffer = getattr(self, attr)
+            grown = np.empty((self.hist_cap, *buffer.shape[1:]))
+            grown[: len(buffer)] = buffer
+            setattr(self, attr, grown)
 
-        while committed < instructions and budget_remaining > 0:
-            if time_samples:
-                sample_start = perf_counter()
-            if single_phase:
-                index = 0
-            else:
-                position = int(total_committed) % phase_total
-                index = bisect_right(phase_ends, position)
-            jitter = phase_jitter[index]
-            if jitter:
-                activity = phase_activity[index] * (
-                    1.0 + rng.normal(0.0, jitter, block_count)
-                )
-                np.clip(activity, 0.0, 1.0, out=activity)
-                demand_ipc = phase_ipc[index] * (
-                    1.0 + rng.normal(0.0, 0.5 * jitter)
-                )
-            else:
-                activity = phase_activity[index]
-                demand_ipc = phase_ipc[index]
-            demand_ipc = max(0.05, demand_ipc)
 
-            temps = thermal.temperatures_view
-            if monitored is None:
-                sensed = float(temps.max())
-            else:
-                sensed = float(temps[monitored].max())
-            duty, stall = on_sample(sensed)
-            supply_ipc = duty * fetch_supply
-            effective_ipc = min(demand_ipc, supply_ipc)
-            ratio = effective_ipc / demand_ipc
+def _no_samples(lane: _Lane) -> SimulationError:
+    return SimulationError(
+        f"run of profile {lane.profile.name!r} produced no samples",
+        policy=lane.policy.name,
+        max_cycles=lane.max_cycles,
+    )
 
-            utilization = activity * ratio
-            if fused_cc3:
-                powers = peaks * (idle + active * utilization)
-                unmonitored = unmonitored_peak * (
-                    idle + active * float(utilization.mean())
-                )
-            else:
-                powers = power_model.block_powers(utilization)
-                unmonitored = power_model.unmonitored_power(
-                    float(utilization.mean())
-                )
-            if leakage is not None:
-                powers = powers + leakage.power(peaks, temps)
-            chip_power = float(powers.sum()) + unmonitored
 
-            # One fused thermal call: steady state solved once and
-            # shared between the exponential update and the threshold
-            # crossing analysis.  ``temps`` stays a valid pre-advance
-            # snapshot because advance_from rebinds the model state.
-            end, steady = thermal.advance_from(temps, powers, sample)
+def run_lanes(
+    engines, instructions, max_cycles, warmup_instructions
+) -> list[LaneOutcome]:
+    """The sample kernel: run unrun engines as lanes of one loop.
 
-            # Guard rails: a non-finite power or temperature means the
-            # loop has blown up (NaN sensor feedback, runaway gains,
-            # ...).  Fail loudly with the state needed to triage it
-            # instead of silently poisoning every downstream metric.
-            if not np.isfinite(chip_power) or not np.all(np.isfinite(end)):
-                bad = (
-                    names[int(np.argmin(np.isfinite(end)))]
-                    if not np.all(np.isfinite(end))
-                    else thermal.hottest_block
-                )
-                raise SimulationError(
-                    f"non-finite simulation state in profile "
-                    f"{self.profile.name!r}",
-                    sample_index=self.manager.samples - 1,
-                    block=bad,
-                    duty=duty,
-                    chip_power=chip_power,
-                    policy=self.policy.name,
-                )
+    ``engines`` must share one floorplan, machine, thermal, and DTM
+    configuration (:class:`~repro.sim.batch.BatchEngine` checks this);
+    profiles, policies, seeds, sensors, faults, failsafe guards,
+    leakage, sensor placement, and supply efficiency are per lane.  The
+    budget arguments are sequences with one value per lane.  Returns
+    one :class:`LaneOutcome` per lane, in lane order; a lane's error
+    never stops the other lanes.
 
-            sample_committed = effective_ipc * max(0, sample - stall)
-            total_committed += sample_committed
-            budget_remaining -= sample
-            if warmup_remaining > 0:
-                # Warmup samples are excluded from every metric but
-                # still advance the samples-independent safety
-                # accounting, so a wedged warmup is diagnosable.
-                warmup_remaining -= sample_committed
-                warmup_cycles += sample
-                warmup_samples += 1
-                if budget_remaining <= 0:
-                    raise SimulationError(
-                        f"warmup of profile {self.profile.name!r} exceeded "
-                        f"its cycle budget of {max_cycles:,} cycles "
-                        f"({warmup_samples:,} samples consumed, "
-                        f"{warmup_remaining:,.0f} warmup instructions "
-                        f"still outstanding)",
-                        sample_index=self.manager.samples - 1,
-                        warmup_cycles=warmup_cycles,
-                        warmup_budget=max_cycles,
-                        duty=duty,
-                        policy=self.policy.name,
+    All B live lanes share one stacked state ``(B, n_blocks)``, so each
+    sample costs one stacked
+    :meth:`~repro.thermal.lumped.LumpedThermalModel.advance_batch`
+    exponential update, one
+    :meth:`~repro.thermal.lumped.LumpedThermalModel.fractions_above`
+    pass over both thresholds and all lanes, and one vectorized power
+    evaluation.  The scalar per-lane work -- phase lookup, seeded
+    jitter draws, the DTM decision, the supply/ratio arithmetic --
+    runs as Python floats in a lane loop.  Every stacked expression is
+    the single-run arithmetic broadcast over the leading lane axis, so
+    each lane is bit-identical to running it alone.
+
+    The stacked arrays hold only the live lanes, in ``active`` order:
+    a sample where no lane leaves does no fancy indexing.  A lane that
+    finishes (or dies on a non-finite state) is finalized, has its last
+    temperatures written back to its ``engine.thermal``, and is
+    dropped from the stack.
+
+    Opens no ``engine.run`` span; a lane whose telemetry profiles gets
+    one ``thermal.advance`` span per stacked advance and one
+    ``dtm.on_sample`` span per decision.
+    """
+    first = engines[0]
+    sample = first.dtm_config.sampling_interval
+    sample_seconds = sample * first.machine.cycle_time
+    thresholds = (
+        first.thermal_config.emergency_temperature,
+        first.dtm_config.nonct_trigger,
+    )
+    thermal = first.thermal
+    peaks = first.power_model.peaks_view
+    idle = first.power_model.idle_fraction
+    active_frac = 1.0 - idle
+    unmonitored_peak = first.floorplan.unmonitored_peak_power
+    names = first.floorplan.names
+    block_count = len(names)
+
+    outcomes = [LaneOutcome() for _ in engines]
+    active: list[_Lane] = []
+    for slot, engine in enumerate(engines):
+        try:
+            active.append(_Lane(
+                engine, slot, instructions[slot], max_cycles[slot],
+                warmup_instructions[slot], sample, block_count,
+            ))
+        except SimulationError as error:
+            outcomes[slot].error = error
+    if not active:
+        return outcomes
+
+    # Stacked state and block-level accumulators, one row per live lane.
+    temps = np.array([lane.engine.thermal.temperatures_view
+                      for lane in active])
+    fraction_sum = np.zeros((2, len(active), block_count))  # em, stress
+    temp_sum = np.zeros((len(active), block_count))
+    temp_max = np.full((len(active), block_count), -np.inf)
+
+    while active:
+        k = len(active)
+        # Recomputed only when the live set changes.
+        activity = np.empty((k, block_count))
+        ratio = np.empty((k, 1))
+        timed = any(lane.time_samples for lane in active)
+        leaky = [(r, lane.leakage) for r, lane in enumerate(active)
+                 if lane.leakage is not None]
+        profilers = [
+            lane.telemetry.profiler for lane in active
+            if lane.recording and lane.telemetry.profiler.enabled
+        ]
+
+        while True:
+            step_start = perf_counter() if timed else 0.0
+            start = temps
+            sensed = start.max(axis=1).tolist()
+            for r, lane in enumerate(active):
+                if lane.single_phase:
+                    index = 0
+                else:
+                    position = int(lane.total_committed) % lane.phase_total
+                    index = bisect_right(lane.phase_ends, position)
+                jitter = lane.phase_jitter[index]
+                row = activity[r]
+                if jitter:
+                    np.multiply(
+                        lane.phase_activity[index],
+                        1.0 + lane.rng.normal(0.0, jitter, block_count),
+                        out=row,
                     )
-                continue
+                    np.clip(row, 0.0, 1.0, out=row)
+                    demand_ipc = lane.phase_ipc[index] * (
+                        1.0 + lane.rng.normal(0.0, 0.5 * jitter)
+                    )
+                else:
+                    row[...] = lane.phase_activity[index]
+                    demand_ipc = lane.phase_ipc[index]
+                demand_ipc = max(0.05, demand_ipc)
+                if lane.monitored is None:
+                    lane_sensed = sensed[r]
+                else:
+                    lane_sensed = float(start[r][lane.monitored].max())
+                duty, stall = lane.on_sample(lane_sensed)
+                effective_ipc = min(demand_ipc, duty * lane.fetch_supply)
+                ratio[r, 0] = effective_ipc / demand_ipc
+                lane.sensed = lane_sensed
+                lane.duty = duty
+                lane.stall = stall
+                lane.sample_committed = effective_ipc * max(0, sample - stall)
 
-            # One broadcast pass over both thresholds (emergency row 0,
-            # stress row 1) instead of two independent kernels.
-            fractions = thermal.fractions_above(
-                temps, steady, sample_seconds, thresholds
-            )
-            em_frac = fractions[0]
-            st_frac = fractions[1]
+            utilization = np.multiply(activity, ratio, out=activity)
+            powers = peaks * (idle + active_frac * utilization)
+            for r, leakage in leaky:
+                powers[r] = powers[r] + leakage.power(peaks, start[r])
+            utilization_sums = utilization.sum(axis=1).tolist()
+            power_sums = powers.sum(axis=1).tolist()
+            if profilers:
+                with ExitStack() as spans:
+                    for profiler in profilers:
+                        spans.enter_context(
+                            profiler.span("thermal.advance")
+                        )
+                    end, steady = thermal.advance_batch(start, powers, sample)
+            else:
+                end, steady = thermal.advance_batch(start, powers, sample)
+            all_finite = bool(np.isfinite(end).all())
 
-            em_peak = float(em_frac.max())
-            st_peak = float(st_frac.max())
-            committed += sample_committed
-            cycles += sample
-            emergency_cycles += em_peak * sample
-            stress_cycles += st_peak * sample
-            block_emergency += em_frac * sample
-            block_stress += st_frac * sample
-            temp_sum += end
-            np.maximum(temp_max, end, out=temp_max)
-            power_sum += chip_power
-            power_max = max(power_max, chip_power)
-            energy_joules += chip_power * sample_seconds
-            interrupt_stalls += stall
-            samples += 1
-            if record_history:
-                if samples > hist_cap:
-                    hist_cap *= 2
-                    h_max_temp = _grow(h_max_temp, hist_cap)
-                    h_duty = _grow(h_duty, hist_cap)
-                    h_chip_power = _grow(h_chip_power, hist_cap)
-                    h_temps = _grow(h_temps, hist_cap)
-                    h_powers = _grow(h_powers, hist_cap)
-                    h_em = _grow(h_em, hist_cap)
-                    h_st = _grow(h_st, hist_cap)
-                row = samples - 1
-                h_max_temp[row] = end.max()
-                h_duty[row] = duty
-                h_chip_power[row] = chip_power
-                h_temps[row] = end
-                h_powers[row] = powers
-                h_em[row] = em_frac
-                h_st[row] = st_frac
-            if recording:
-                telemetry.record_sample(
-                    index=samples - 1,
-                    cycle=cycles,
-                    sensed=sensed,
-                    max_temp=float(end.max()),
-                    block_temps=end,
-                    chip_power=chip_power,
-                    ipc=sample_committed / sample,
-                    duty=duty,
-                    emergency_fraction=em_peak,
-                    stress_fraction=st_peak,
-                    latency_seconds=(
-                        perf_counter() - sample_start
-                        if time_samples
-                        else math.nan
-                    ),
+            leaving: list[int] = []
+            measuring: list[int] = []
+            for r, lane in enumerate(active):
+                chip_power = power_sums[r] + unmonitored_peak * (
+                    idle + active_frac * (utilization_sums[r] / block_count)
                 )
+                lane.chip_power = chip_power
+                # Guard rails: a non-finite power or temperature means
+                # the loop has blown up (NaN sensor feedback, runaway
+                # gains, ...).  The lane fails loudly with the state
+                # needed to triage it; the others keep stepping.
+                if not (all_finite and math.isfinite(chip_power)):
+                    row_finite = np.isfinite(end[r])
+                    if not (math.isfinite(chip_power) and row_finite.all()):
+                        if not row_finite.all():
+                            bad = names[int(np.argmin(row_finite))]
+                        else:
+                            bad = names[int(np.argmax(end[r]))]
+                        lane.error = SimulationError(
+                            f"non-finite simulation state in profile "
+                            f"{lane.profile.name!r}",
+                            sample_index=lane.manager.samples - 1,
+                            block=bad,
+                            duty=lane.duty,
+                            chip_power=chip_power,
+                            policy=lane.policy.name,
+                        )
+                        leaving.append(r)
+                        continue
+                committed = lane.sample_committed
+                lane.total_committed += committed
+                lane.budget_remaining -= sample
+                if lane.warmup_remaining > 0:
+                    # Warmup samples are excluded from every metric but
+                    # still advance the shared cycle budget, so a wedged
+                    # warmup is diagnosable.
+                    lane.warmup_remaining -= committed
+                    lane.warmup_cycles += sample
+                    lane.warmup_samples += 1
+                    if lane.budget_remaining <= 0:
+                        lane.error = SimulationError(
+                            f"warmup of profile {lane.profile.name!r} "
+                            f"exceeded its cycle budget of "
+                            f"{lane.max_cycles:,} cycles "
+                            f"({lane.warmup_samples:,} samples consumed, "
+                            f"{lane.warmup_remaining:,.0f} warmup "
+                            f"instructions still outstanding)",
+                            sample_index=lane.manager.samples - 1,
+                            warmup_cycles=lane.warmup_cycles,
+                            warmup_budget=lane.max_cycles,
+                            duty=lane.duty,
+                            policy=lane.policy.name,
+                        )
+                        leaving.append(r)
+                    continue
+                measuring.append(r)
 
-        if samples == 0:
-            raise SimulationError(
-                f"run of profile {self.profile.name!r} produced no samples",
-                policy=self.policy.name,
-                max_cycles=max_cycles,
-            )
+            if measuring:
+                # One broadcast pass over both thresholds (emergency
+                # row 0, stress row 1) and every measured lane.
+                if len(measuring) == k:
+                    fractions = thermal.fractions_above(
+                        start, steady, sample_seconds, thresholds
+                    )
+                    fraction_sum += fractions * sample
+                    temp_sum += end
+                    np.maximum(temp_max, end, out=temp_max)
+                else:
+                    m = np.array(measuring)
+                    fractions = thermal.fractions_above(
+                        start[m], steady[m], sample_seconds, thresholds
+                    )
+                    fraction_sum[:, m] += fractions * sample
+                    temp_sum[m] += end[m]
+                    temp_max[m] = np.maximum(temp_max[m], end[m])
+                em_peaks, st_peaks = fractions.max(axis=2).tolist()
+                for i, r in enumerate(measuring):
+                    lane = active[r]
+                    em_peak = em_peaks[i]
+                    st_peak = st_peaks[i]
+                    chip_power = lane.chip_power
+                    committed = lane.sample_committed
+                    lane.committed += committed
+                    lane.cycles += sample
+                    lane.emergency_cycles += em_peak * sample
+                    lane.stress_cycles += st_peak * sample
+                    lane.power_sum += chip_power
+                    lane.power_max = max(lane.power_max, chip_power)
+                    lane.energy_joules += chip_power * sample_seconds
+                    lane.interrupt_stalls += lane.stall
+                    lane.samples += 1
+                    if lane.record_history:
+                        if lane.samples > lane.hist_cap:
+                            lane.grow_history()
+                        row = lane.samples - 1
+                        lane_end = end[r]
+                        lane.h_max_temp[row] = lane_end.max()
+                        lane.h_duty[row] = lane.duty
+                        lane.h_chip_power[row] = chip_power
+                        lane.h_temps[row] = lane_end
+                        lane.h_powers[row] = powers[r]
+                        lane.h_em[row] = fractions[0, i]
+                        lane.h_st[row] = fractions[1, i]
+                    if lane.recording:
+                        lane_end = end[r]
+                        lane.telemetry.record_sample(
+                            index=lane.samples - 1,
+                            cycle=lane.cycles,
+                            sensed=lane.sensed,
+                            max_temp=float(lane_end.max()),
+                            block_temps=lane_end,
+                            chip_power=chip_power,
+                            ipc=committed / sample,
+                            duty=lane.duty,
+                            emergency_fraction=em_peak,
+                            stress_fraction=st_peak,
+                            latency_seconds=(
+                                perf_counter() - step_start
+                                if lane.time_samples
+                                else math.nan
+                            ),
+                        )
+                    if not (
+                        lane.committed < lane.instructions
+                        and lane.budget_remaining > 0
+                    ):
+                        leaving.append(r)
 
-        extra: dict[str, float] = {}
-        guard = self.manager.failsafe
-        if guard is not None:
-            extra["failsafe_engagements"] = float(guard.engagements)
-            extra["failsafe_rejected_samples"] = float(guard.rejected_samples)
-            extra["failsafe_degraded_samples"] = float(guard.degraded_samples)
-            extra["failsafe_forced_samples"] = float(guard.failsafe_samples)
+            if not leaving:
+                temps = end
+                continue
+            for r in leaving:
+                lane = active[r]
+                # Leave the engine's model at its final temperatures, as
+                # a standalone run of the engine would.
+                lane.engine.thermal._temps = end[r].copy()
+                outcomes[lane.slot] = (
+                    LaneOutcome(error=lane.error)
+                    if lane.error is not None
+                    else _finalize(
+                        lane, r, sample, names,
+                        fraction_sum, temp_sum, temp_max,
+                    )
+                )
+            gone = set(leaving)
+            keep = [r for r in range(k) if r not in gone]
+            active = [active[r] for r in keep]
+            temps = end[keep]
+            fraction_sum = fraction_sum[:, keep]
+            temp_sum = temp_sum[keep]
+            temp_max = temp_max[keep]
+            break
+    return outcomes
 
-        history = None
-        if record_history:
-            # Trim the doubling buffers to the recorded row count; the
-            # copies also release the (up to 2x) growth slack.
-            history = History(
-                sample_cycles=sample,
-                names=names,
-                max_temp=h_max_temp[:samples].copy(),
-                duty=h_duty[:samples].copy(),
-                chip_power=h_chip_power[:samples].copy(),
-                block_temps=h_temps[:samples].copy(),
-                block_powers=h_powers[:samples].copy(),
-                block_emergency=h_em[:samples].copy(),
-                block_stress=h_st[:samples].copy(),
-            )
 
-        return RunResult(
-            benchmark=self.profile.name,
-            policy=self.policy.name,
-            cycles=cycles,
-            instructions=committed,
-            emergency_fraction=emergency_cycles / cycles,
-            stress_fraction=stress_cycles / cycles,
-            block_emergency_fraction={
-                name: float(block_emergency[i]) / cycles
-                for i, name in enumerate(names)
-            },
-            block_stress_fraction={
-                name: float(block_stress[i]) / cycles
-                for i, name in enumerate(names)
-            },
-            mean_block_temperature={
-                name: float(temp_sum[i]) / samples for i, name in enumerate(names)
-            },
-            max_block_temperature={
-                name: float(temp_max[i]) for i, name in enumerate(names)
-            },
-            mean_chip_power=power_sum / samples,
-            max_chip_power=power_max,
-            energy_joules=energy_joules,
-            engaged_fraction=self.manager.engaged_fraction,
-            interrupt_events=self.manager.interrupts.events,
-            interrupt_stall_cycles=interrupt_stalls,
-            history=history,
-            extra=extra,
+def _finalize(
+    lane: _Lane, r, sample, names, fraction_sum, temp_sum, temp_max
+) -> LaneOutcome:
+    """Assemble one finished lane's RunResult from its stacked row ``r``."""
+    if lane.samples == 0:
+        return LaneOutcome(error=_no_samples(lane))
+    cycles = lane.cycles
+    samples = lane.samples
+    extra: dict[str, float] = {}
+    guard = lane.manager.failsafe
+    if guard is not None:
+        extra["failsafe_engagements"] = float(guard.engagements)
+        extra["failsafe_rejected_samples"] = float(guard.rejected_samples)
+        extra["failsafe_degraded_samples"] = float(guard.degraded_samples)
+        extra["failsafe_forced_samples"] = float(guard.failsafe_samples)
+
+    history = None
+    if lane.record_history:
+        # Trim the doubling buffers to the recorded row count; the
+        # copies also release the (up to 2x) growth slack.
+        history = History(
+            sample_cycles=sample,
+            names=names,
+            max_temp=lane.h_max_temp[:samples].copy(),
+            duty=lane.h_duty[:samples].copy(),
+            chip_power=lane.h_chip_power[:samples].copy(),
+            block_temps=lane.h_temps[:samples].copy(),
+            block_powers=lane.h_powers[:samples].copy(),
+            block_emergency=lane.h_em[:samples].copy(),
+            block_stress=lane.h_st[:samples].copy(),
         )
+
+    emergency = fraction_sum[0, r].tolist()
+    stress = fraction_sum[1, r].tolist()
+    temp_totals = temp_sum[r].tolist()
+    maxima = temp_max[r].tolist()
+    result = RunResult(
+        benchmark=lane.profile.name,
+        policy=lane.policy.name,
+        cycles=cycles,
+        instructions=lane.committed,
+        emergency_fraction=lane.emergency_cycles / cycles,
+        stress_fraction=lane.stress_cycles / cycles,
+        block_emergency_fraction={
+            name: emergency[i] / cycles for i, name in enumerate(names)
+        },
+        block_stress_fraction={
+            name: stress[i] / cycles for i, name in enumerate(names)
+        },
+        mean_block_temperature={
+            name: temp_totals[i] / samples for i, name in enumerate(names)
+        },
+        max_block_temperature=dict(zip(names, maxima)),
+        mean_chip_power=lane.power_sum / samples,
+        max_chip_power=lane.power_max,
+        energy_joules=lane.energy_joules,
+        engaged_fraction=lane.manager.engaged_fraction,
+        interrupt_events=lane.manager.interrupts.events,
+        interrupt_stall_cycles=lane.interrupt_stalls,
+        history=history,
+        extra=extra,
+    )
+    return LaneOutcome(result=result)

@@ -249,7 +249,9 @@ class LumpedThermalModel:
         :meth:`advance`.  This fused entry point computes ``steady``
         once and reuses it for the exponential update, which is
         bit-identical because both paths evaluate the exact same
-        expression (``T_sink + P * R``).
+        expression (``T_sink + P * R``).  The sample kernel
+        (:func:`repro.sim.fast.run_lanes`) uses :meth:`advance_batch`,
+        the same update with one row per run.
 
         ``start`` is the caller's snapshot of the pre-advance state
         (normally :attr:`temperatures_view`); the model's state is
@@ -291,8 +293,10 @@ class LumpedThermalModel:
         single-lane ``advance_from(start[b], powers[b], cycles)``.
 
         Pure: unlike :meth:`advance_from`, the model's own temperature
-        state is **not** touched -- the caller (the lane-batched engine
-        of :mod:`repro.sim.batch`) owns the stacked state.
+        state is **not** touched -- the caller (the sample kernel,
+        :func:`repro.sim.fast.run_lanes`) owns the stacked state.  No
+        span is recorded here either: the kernel records one
+        ``thermal.advance`` span per call on every profiled lane.
         """
         if cycles <= 0:
             raise ThermalModelError("cycles must be positive")

@@ -16,6 +16,7 @@ same canonical spec fingerprints.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import DTMConfig, FailsafeConfig
+from repro.dtm.policies import make_policy
 from repro.errors import ConfigError, SimulationError
 from repro.faults import FaultSchedule
+from repro.power.leakage import LeakageModel
 from repro.sim.batch import (
     BatchEngine,
     batch_compatibility_key,
@@ -52,7 +55,12 @@ from repro.sim.parallel import (
     run_specs,
     set_default_batch,
 )
+from repro.sim.fast import FastEngine
+from repro.sim.reference import ReferenceFastEngine
 from repro.sim.sweep import build_engine, run_suite
+from repro.telemetry.core import Telemetry
+from repro.thermal.floorplan import Floorplan
+from repro.workloads.profiles import get_profile
 from tests.test_sim_parallel import (
     INSTRUCTIONS,
     assert_metrics_match,
@@ -273,6 +281,51 @@ class TestBatchEngineParity:
             assert_results_equal(a, o.result)
             assert_histories_equal(a.history, o.result.history)
 
+    def test_per_lane_features_match_reference(self):
+        """Leakage, sensor placement and supply efficiency are per lane.
+
+        Each lane matches its own run of the frozen reference kernel,
+        and leaves its engine's thermal model at its last temperatures.
+        The plain lane finishes first, so the other lanes change rows.
+        """
+        floorplan = Floorplan.default()
+        lanes = [
+            ("gzip", 60_000, {}),
+            ("gcc", 150_000, {"leakage": LeakageModel()}),
+            ("art", 100_000, {"monitored_blocks": ("regfile", "int_exec")}),
+            ("mesa", 120_000, {"supply_efficiency": 0.7}),
+        ]
+
+        def make(cls, seed, bench, options):
+            return cls(
+                get_profile(bench),
+                policy=make_policy("pid", floorplan),
+                floorplan=floorplan,
+                seed=seed,
+                record_history=True,
+                **options,
+            )
+
+        engines = [
+            make(FastEngine, seed, bench, options)
+            for seed, (bench, _, options) in enumerate(lanes)
+        ]
+        outcomes = BatchEngine(engines).run_outcomes(
+            instructions=[budget for _, budget, _ in lanes]
+        )
+        for seed, (engine, outcome, (bench, budget, options)) in enumerate(
+            zip(engines, outcomes, lanes)
+        ):
+            assert outcome.error is None, bench
+            reference = make(ReferenceFastEngine, seed, bench, options)
+            expected = reference.run(budget)
+            assert_results_equal(expected, outcome.result)
+            assert_histories_equal(expected.history, outcome.result.history)
+            assert np.array_equal(
+                engine.thermal.temperatures,
+                outcome.result.history.block_temps[-1],
+            )
+
     def test_warmup_parity(self):
         a = build_engine("gcc", "pid")
         b = build_engine("gcc", "pid")
@@ -307,6 +360,50 @@ class TestBatchEngineParity:
         batch = BatchEngine(engines)
         with pytest.raises(SimulationError):
             batch.run(instructions=[-1])
+
+    def test_profiled_lanes_time_every_stacked_advance(self):
+        telemetries = [Telemetry(), Telemetry()]
+        engines = [
+            build_engine("gcc", "pid", telemetry=telemetries[0]),
+            build_engine("gzip", "none", telemetry=telemetries[1]),
+        ]
+        BatchEngine(engines).run(instructions=[60_000, 120_000])
+        for engine, telemetry in zip(engines, telemetries):
+            profiler = telemetry.profiler
+            assert profiler.stats("engine.run").count == 1
+            assert (
+                profiler.stats("thermal.advance").count
+                == engine.manager.samples
+            )
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            {"max_cycles": 0},
+            {"max_cycles": -5},
+            {"max_cycles": math.nan},
+            {"instructions": math.inf},
+            {"instructions": math.nan},
+        ],
+        ids=["cycles-0", "cycles-neg", "cycles-nan", "instr-inf", "instr-nan"],
+    )
+    @pytest.mark.parametrize("kernel", ["fast-engine", "batch-lane"])
+    def test_bad_budget_is_a_simulation_error(self, kernel, budget):
+        """A budget that allows no sample fails before the first step."""
+        budget = {"instructions": 60_000, "max_cycles": None, **budget}
+        engine = build_engine("gcc", "pid")
+        if kernel == "fast-engine":
+            with pytest.raises(SimulationError):
+                engine.run(**budget)
+        else:
+            good = build_engine("gzip", "pid")
+            good_result, bad = BatchEngine([good, engine]).run_outcomes(
+                instructions=[60_000, budget["instructions"]],
+                max_cycles=[None, budget["max_cycles"]],
+            )
+            assert good_result.error is None
+            assert isinstance(bad.error, SimulationError)
+        assert engine.manager.samples == 0
 
     def test_rejects_mismatched_environments(self):
         a = build_engine("gcc", "pid")
