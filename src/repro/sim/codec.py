@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.errors import CodecError
 from repro.sim.results import History, RunResult
-from repro.telemetry.core import ensure_telemetry
+from repro.telemetry.core import Telemetry, ensure_telemetry
 from repro.telemetry.export import event_from_dict, record_from_dict
 
 #: Tag key marking an encoded composite value; chosen to be absent from
@@ -389,3 +389,18 @@ def fold_saved_telemetry(sink, payload: dict | None) -> None:
     sink.metrics.merge_snapshot(payload.get("metrics", {}))
     if payload.get("meta"):
         sink.meta.update(payload["meta"])
+
+
+def check_telemetry_payload(payload, config=None) -> None:
+    """Raise :class:`CodecError` unless ``payload`` folds cleanly.
+
+    Trial-folds the payload into a fresh sink of ``config``, so it
+    accepts exactly what :func:`fold_saved_telemetry` would.  The shard
+    coordinator checks a worker's payload before journaling or caching
+    it: a malformed one would otherwise poison every later resume and
+    warm replay.
+    """
+    try:
+        fold_saved_telemetry(Telemetry(config), payload)
+    except Exception as error:
+        raise CodecError(f"malformed telemetry payload: {error!r}") from error

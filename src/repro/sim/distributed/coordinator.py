@@ -1,34 +1,41 @@
-"""The shard coordinator: lease specs out, journal results, fold in order.
+"""The shard coordinator: lease specs to TCP workers, settle their results.
 
-:class:`ShardCoordinator` is the distributed counterpart of
-:class:`repro.sim.parallel._OutcomeRunner`: it owns the canonical spec
-list, hands out leases over TCP (:mod:`.protocol`), and settles results
-into the same :class:`~repro.sim.parallel.SpecOutcome` structures under
-the same determinism contract --
+:class:`ShardCoordinator` is a :class:`repro.sim.parallel._SweepLedger`
+-- the settlement bookkeeping every local sweep runs through -- plus the
+parts that are its own: leases, heartbeats, lease expiry, the
+``repro.shard/v1`` TCP handler (:mod:`.protocol`) and retry backoff as a
+lease's ``not_before``.  Everything else is the ledger's, so a
+distributed sweep resumes, caches, journals, retries and folds exactly
+as a local ``run_outcomes`` does:
 
 * **Results** in spec order, each decoded through the shared codec
   (``repr``-lossless floats), so a distributed sweep's outcomes equal a
   local ``run_outcomes`` bit-for-bit.
-* **Telemetry** folded at the end, in spec order, via
-  :func:`~repro.sim.codec.fold_saved_telemetry` -- the identical path a
-  checkpoint resume uses, so retained traces/events/metrics match the
-  serial emit sequence exactly.  Coordinator orchestration diagnostics
-  (``shard.*`` events) are, like ``sweep.*``, excluded from parity.
+* **Telemetry** folded as specs settle, in spec order and under the
+  coordinator's lock, via :func:`~repro.sim.codec.fold_saved_telemetry`
+  -- the identical path a checkpoint resume uses, so retained
+  traces/events/metrics match the serial emit sequence exactly.
+  Coordinator orchestration diagnostics (``shard.*`` events) are, like
+  ``sweep.*``, excluded from parity.
 * **Durability** before acknowledgement: a worker's ``result`` is
-  journaled (``repro.sweep/v1``, fsync'd) before the ``ack`` goes back,
-  so a coordinator killed at any instant resumes from its checkpoint
-  with nothing double-counted and at most one in-flight result re-run.
+  decoded, journaled (``repro.sweep/v1``, fsync'd) and cached before
+  the ``ack`` goes back, so a coordinator killed at any instant resumes
+  from its checkpoint with nothing double-counted and at most one
+  in-flight result re-run.  A result whose result or telemetry payload
+  does not decode gets an ``error`` reply and changes nothing.
 
 Failure model.  Liveness failures are *uncharged*: a worker that
 disconnects or stops heartbeating forfeits its leases, which requeue at
 the same attempt number (events ``shard.worker_lost`` /
 ``shard.lease_expired``).  Execution failures reported by a worker are
 *charged* against the spec's :class:`~repro.sim.parallel.RetryPolicy`
-budget, with the usual deterministic backoff (served as a
-``not_before`` on the requeued lease rather than a coordinator-side
-sleep) and ``shard.retry`` / ``shard.spec_failed`` events.  A stale
-result for an already-settled spec is ignored -- every run is a pure
-function of its spec, so the first settlement is as good as any.
+budget at the attempt number the coordinator itself issued -- never a
+number the worker supplies -- with the usual deterministic backoff
+(served as a ``not_before`` on the requeued lease rather than a
+coordinator-side sleep) and ``shard.retry`` / ``shard.spec_failed``
+events.  A stale result for an already-settled spec is ignored -- every
+run is a pure function of its spec, so the first settlement is as good
+as any.
 """
 
 from __future__ import annotations
@@ -39,26 +46,26 @@ import socketserver
 import threading
 import time
 
-from repro.errors import ShardError, SweepError
-from repro.sim.checkpoint import (
-    CheckpointJournal,
-    load_checkpoint,
-    spec_fingerprint,
+from repro.errors import ShardError
+from repro.sim.codec import (
+    check_telemetry_payload,
+    result_from_dict,
+    spec_to_dict,
 )
-from repro.sim.codec import fold_saved_telemetry, result_from_dict, spec_to_dict
 from repro.sim.distributed.protocol import (
     SHARD_SCHEMA,
     ClusterConfig,
     read_message,
     write_message,
 )
-from repro.sim.parallel import (
-    SpecFailure,
-    SpecOutcome,
-    SweepOptions,
-    resolve_cache,
-)
-from repro.telemetry.core import ensure_telemetry
+from repro.sim.parallel import SpecOutcome, SweepOptions, _SweepLedger
+
+
+def _wire_int(value, what: str) -> int:
+    """A worker-supplied integer field, or :class:`ShardError`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ShardError(f"{what} must be an int, got {value!r}")
+    return value
 
 
 class _Lease:
@@ -72,7 +79,7 @@ class _Lease:
         self.deadline = deadline
 
 
-class ShardCoordinator:
+class ShardCoordinator(_SweepLedger):
     """Serve one sweep's specs to TCP workers; collect ordered outcomes.
 
     Lifecycle: :meth:`start` binds and begins accepting workers (it
@@ -86,6 +93,8 @@ class ShardCoordinator:
     sweep -- a later coordinator resumes from the checkpoint.
     """
 
+    _EVENTS = "shard"
+
     def __init__(
         self,
         specs,
@@ -98,36 +107,32 @@ class ShardCoordinator:
             raise ShardError(
                 f"cluster must be a ClusterConfig, got {cluster!r}"
             )
-        self.specs = list(specs)
+        # Cache hits settle before the server starts -- never leased,
+        # never shipped over the wire; fresh worker results write back
+        # verbatim from their wire payloads.
+        super().__init__(
+            list(specs),
+            telemetry,
+            options if options is not None else SweepOptions(),
+            cache,
+            fingerprints=True,
+        )
         self.cluster = cluster
-        self.options = options if options is not None else SweepOptions()
-        self.sink = ensure_telemetry(telemetry)
-        #: Cross-sweep result cache (:mod:`repro.sim.cache`), or None.
-        #: Hits settle before the server starts -- never leased, never
-        #: shipped over the wire; fresh worker results write back
-        #: verbatim from their wire payloads.
-        self.cache = resolve_cache(cache)
-        self._cache_keys: list[str] | None = None
-        n = len(self.specs)
-        self.outcomes: list[SpecOutcome | None] = [None] * n
-        #: Wire telemetry payloads of settled specs, folded at the end.
-        self._telemetry_payloads: list[dict | None] = [None] * n
-        #: Leases expire on the *coordinator's* monotonic clock only.
-        self._fingerprints = [spec_fingerprint(spec) for spec in self.specs]
         self._spec_payloads = [spec_to_dict(spec) for spec in self.specs]
+        #: The attempt number of each spec's latest lease: a worker's
+        #: failure is charged against this, not against its own claim.
+        self._issued = [0] * len(self.specs)
         self._lock = threading.Lock()
         self._settled = threading.Condition(self._lock)
-        #: (index, attempt, not_before) triples awaiting a lease.
+        #: (index, attempt, not_before) triples awaiting a lease.  Leases
+        #: expire on the *coordinator's* monotonic clock only.
         self._pending: list[tuple[int, int, float]] = []
         self._leases: dict[int, _Lease] = {}
-        self._journal: CheckpointJournal | None = None
         self._server: _ShardServer | None = None
         self._server_thread: threading.Thread | None = None
         self._stop_requested = False
         self._connection_seq = 0
         self._executed = 0
-        self._resumed = 0
-        self._cached = 0
 
     # -- lifecycle -----------------------------------------------------------
     @property
@@ -147,10 +152,15 @@ class ShardCoordinator:
         return all(outcome is not None for outcome in self.outcomes)
 
     def start(self) -> None:
-        """Open the journal, resolve resumed specs, begin accepting."""
+        """Open the journal, pre-settle resumed and cached specs, accept."""
         if self._server is not None:
             raise ShardError("coordinator already started")
-        self._open_journal()
+        with self._lock:
+            now = time.monotonic()
+            self._pending = [
+                (index, 0, now) for index in self._open_journal()
+            ]
+            self._fold_settled()
         self._server = _ShardServer(
             (self.cluster.host, self.cluster.port), _ShardHandler, self
         )
@@ -161,94 +171,8 @@ class ShardCoordinator:
         )
         self._server_thread.start()
 
-    def _open_journal(self) -> None:
-        """Mirror ``_OutcomeRunner._open_journal``: resume by fingerprint."""
-        options = self.options
-        saved: dict[str, list[dict]] = {}
-        if options.checkpoint_path is not None:
-            if options.resume:
-                saved = load_checkpoint(options.checkpoint_path)
-            self._journal = CheckpointJournal.open(
-                options.checkpoint_path, resume=options.resume
-            )
-        if self.cache is not None:
-            from repro.sim.cache import cache_key
-
-            self._cache_keys = [cache_key(spec) for spec in self.specs]
-        now = time.monotonic()
-        for index, spec in enumerate(self.specs):
-            entries = saved.get(self._fingerprints[index])
-            if entries:
-                entry = entries.pop(0)
-                self.outcomes[index] = SpecOutcome(
-                    spec=spec,
-                    index=index,
-                    result=result_from_dict(entry["result"]),
-                    attempts=entry.get("attempts", 1),
-                    from_checkpoint=True,
-                )
-                self._telemetry_payloads[index] = entry.get("telemetry")
-                self._resumed += 1
-                if self.cache is not None:
-                    self.cache.store_payload(
-                        self._cache_keys[index],
-                        spec,
-                        entry["result"],
-                        entry.get("telemetry"),
-                        attempts=entry.get("attempts", 1),
-                        fingerprint=self._fingerprints[index],
-                    )
-                continue
-            if self.cache is not None:
-                entry = self.cache.lookup(
-                    self._cache_keys[index],
-                    need_telemetry=self.sink.enabled,
-                )
-                if entry is not None:
-                    # Settled before the server even starts: a cache
-                    # hit is never leased to any worker.
-                    self.outcomes[index] = SpecOutcome(
-                        spec=spec,
-                        index=index,
-                        result=result_from_dict(entry["result"]),
-                        attempts=entry.get("attempts", 1),
-                        from_cache=True,
-                    )
-                    self._telemetry_payloads[index] = entry.get("telemetry")
-                    self._cached += 1
-                    if self._journal is not None:
-                        self._journal.append_payload(
-                            self._fingerprints[index],
-                            spec,
-                            entry.get("attempts", 1),
-                            entry["result"],
-                            entry.get("telemetry"),
-                        )
-                    continue
-            self._pending.append((index, 0, now))
-        if self._resumed and self.sink.enabled:
-            self.sink.event(
-                "shard.resume",
-                -1,
-                f"resumed {self._resumed} of {len(self.specs)} specs "
-                f"from checkpoint",
-                resumed=self._resumed,
-                total=len(self.specs),
-                path=str(options.checkpoint_path),
-            )
-        if self._cached and self.sink.enabled:
-            self.sink.event(
-                "cache.hit",
-                -1,
-                f"result cache replayed {self._cached} of "
-                f"{len(self.specs)} specs",
-                hits=self._cached,
-                total=len(self.specs),
-                path=str(self.cache.directory),
-            )
-
     def wait(self) -> list[SpecOutcome]:
-        """Block until the sweep settles; fold telemetry; return outcomes.
+        """Block until the sweep settles; return the outcomes.
 
         Raises :class:`ShardError` if :meth:`request_stop` aborted the
         sweep first, and :class:`~repro.errors.SweepError` under
@@ -270,7 +194,6 @@ class ShardCoordinator:
                     )
         finally:
             self._shutdown()
-            self._fold_telemetry()
         if not self.complete:
             raise ShardError(
                 "coordinator stopped before the sweep completed "
@@ -278,22 +201,7 @@ class ShardCoordinator:
                 f"{len(self.specs)} specs settled; the checkpoint "
                 "journal, if any, holds them for resume)"
             )
-        outcomes = list(self.outcomes)
-        failures = [o for o in outcomes if o.error is not None]
-        if failures and self.options.strict:
-            detail = "; ".join(
-                f"{o.spec.benchmark}/{o.spec.policy}[seed={o.spec.seed}] "
-                f"{o.error}"
-                for o in failures[:5]
-            )
-            if len(failures) > 5:
-                detail += f"; ... {len(failures) - 5} more"
-            raise SweepError(
-                f"{len(failures)} of {len(self.specs)} specs failed "
-                f"permanently: {detail}",
-                failures,
-            )
-        return outcomes
+        return self._checked_outcomes()
 
     def serve(self) -> list[SpecOutcome]:
         """Run the whole sweep: :meth:`start`, :meth:`wait`, shut down."""
@@ -307,31 +215,14 @@ class ShardCoordinator:
             self._settled.notify_all()
 
     def _shutdown(self) -> None:
-        """Stop accepting, drop workers, close the journal (idempotent)."""
+        """Stop accepting, drop workers, close the ledger (idempotent)."""
         server, self._server_thread = self._server, None
         if server is not None:
             server.shutdown()
             server.server_close()
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
-        if self.cache is not None:
-            self.cache.flush()
-
-    def _fold_telemetry(self) -> None:
-        """In-spec-order fold of settled specs' telemetry payloads."""
-        if not self.sink.enabled:
-            return
-        for index in range(len(self.specs)):
-            outcome = self.outcomes[index]
-            if outcome is None or outcome.error is not None:
-                continue
-            fold_saved_telemetry(
-                self.sink, self._telemetry_payloads[index]
-            )
-        if self.specs and self.complete:
-            last = self.specs[-1]
-            self.sink.set_context(last.benchmark, last.policy)
+        with self._lock:
+            self.close()
+            self.fold_telemetry()
 
     # -- handler-side operations (all under the lock) ------------------------
     def _check_token(self, token) -> bool:
@@ -343,11 +234,6 @@ class ShardCoordinator:
         with self._lock:
             self._connection_seq += 1
             return f"{name}#{self._connection_seq}"
-
-    def _event(self, kind: str, index: int, message: str, **fields) -> None:
-        """Emit one ``shard.*`` diagnostic (caller holds the lock)."""
-        if self.sink.enabled:
-            self.sink.event(kind, index, message, **fields)
 
     def _expire_leases_locked(self, now: float) -> None:
         expired = [
@@ -368,14 +254,15 @@ class ShardCoordinator:
             )
             self._pending.append((index, lease.attempt, now))
 
-    def grant(self, worker: str, max_leases: int) -> dict:
+    def grant(self, worker: str, max_leases) -> dict:
         """Lease up to ``max_leases`` ready specs to ``worker``.
 
         Returns the ``grant`` message: ``complete`` when every spec is
         settled, ``wait`` (with a retry hint) when nothing is ready
-        right now, else ``ok`` with the leases.
+        right now, else ``ok`` with the leases.  A non-int
+        ``max_leases`` raises :class:`ShardError`.
         """
-        max_leases = max(1, int(max_leases))
+        max_leases = max(1, _wire_int(max_leases, "lease max"))
         now = time.monotonic()
         with self._lock:
             self._expire_leases_locked(now)
@@ -405,6 +292,7 @@ class ShardCoordinator:
             leases = []
             for index, attempt in ready:
                 self._leases[index] = _Lease(worker, attempt, deadline)
+                self._issued[index] = attempt
                 leases.append(
                     {
                         "index": index,
@@ -449,9 +337,11 @@ class ShardCoordinator:
     def settle(self, worker: str, message: dict) -> None:
         """Apply one worker ``result`` message (journal before return).
 
-        Raises :class:`ShardError` on malformed payloads -- the handler
-        turns that into an ``error`` reply and drops the connection,
-        and the lease requeues through :meth:`drop_worker`.
+        Every field is checked, and the result and telemetry payloads
+        decoded, before any state changes: a malformed message raises
+        :class:`ShardError`, which the handler turns into an ``error``
+        reply before dropping the connection, and the lease requeues
+        through :meth:`drop_worker`.
         """
         index = message.get("index")
         if not isinstance(index, int) or not 0 <= index < len(self.specs):
@@ -460,17 +350,30 @@ class ShardCoordinator:
             raise ShardError(
                 f"result fingerprint does not match spec {index}"
             )
-        spec = self.specs[index]
+        if _wire_int(message.get("attempt"), "result attempt") < 0:
+            raise ShardError("result attempt must not be negative")
         ok = message.get("ok")
+        if not isinstance(ok, bool):
+            raise ShardError(f"result ok must be a bool, got {ok!r}")
         if ok:
-            # Decode (and thereby validate) before any state mutation.
             result_payload = message.get("result")
+            telemetry_payload = message.get("telemetry")
             try:
                 result = result_from_dict(result_payload)
+                check_telemetry_payload(
+                    telemetry_payload, getattr(self.sink, "config", None)
+                )
             except Exception as error:
                 raise ShardError(
                     f"undecodable result for spec {index}: {error}"
                 ) from error
+        else:
+            failure = message.get("failure") or {}
+            if not isinstance(failure, dict):
+                raise ShardError(
+                    f"result failure must be an object, got {failure!r}"
+                )
+        spec = self.specs[index]
         with self._settled:
             lease = self._leases.get(index)
             if lease is not None and lease.worker == worker:
@@ -488,7 +391,6 @@ class ShardCoordinator:
                 )
                 self._settled.notify_all()
                 return
-            attempt = int(message.get("attempt", 0))
             # Drop any stray pending entry for this index first (a
             # lease may have expired and requeued before this late
             # result landed); a charged failure below re-queues its
@@ -496,86 +398,31 @@ class ShardCoordinator:
             self._pending = [
                 entry for entry in self._pending if entry[0] != index
             ]
+            attempt = self._issued[index]
             if ok:
-                telemetry_payload = message.get("telemetry")
-                if self._journal is not None:
-                    self._journal.append_payload(
-                        self._fingerprints[index],
-                        spec,
-                        attempt + 1,
-                        result_payload,
-                        telemetry_payload,
-                    )
-                self.outcomes[index] = SpecOutcome(
-                    spec=spec,
-                    index=index,
-                    result=result,
-                    attempts=attempt + 1,
+                self._settle_payload(
+                    index, attempt + 1, result, result_payload,
+                    telemetry_payload,
                 )
-                self._telemetry_payloads[index] = telemetry_payload
                 self._executed += 1
-                if self.cache is not None:
-                    # Write back verbatim from the wire payloads -- the
-                    # worker already used the shared codec, so
-                    # re-encoding would only risk drift.
-                    self.cache.store_payload(
-                        self._cache_keys[index],
-                        spec,
-                        result_payload,
-                        telemetry_payload,
-                        attempts=attempt + 1,
-                        fingerprint=self._fingerprints[index],
-                    )
+                self._fold_settled()
             else:
-                self._settle_failure_locked(
-                    index, attempt, message.get("failure") or {}, worker
+                delay = self._charge_failure(
+                    index,
+                    attempt,
+                    str(failure.get("kind", "error")),
+                    str(failure.get("exc_type", "Exception")),
+                    str(failure.get("message", "")),
+                    str(failure.get("traceback", "")),
+                    worker=worker,
                 )
+                if delay is not None:
+                    # Backoff without blocking the handler thread: the
+                    # requeued lease is not grantable until not_before.
+                    self._pending.append(
+                        (index, attempt + 1, time.monotonic() + delay)
+                    )
             self._settled.notify_all()
-
-    def _settle_failure_locked(
-        self, index: int, attempt: int, failure: dict, worker: str
-    ) -> None:
-        """Charge one worker-reported failure against the retry budget."""
-        spec = self.specs[index]
-        retry = self.options.retry
-        kind = str(failure.get("kind", "error"))
-        exc_type = str(failure.get("exc_type", "Exception"))
-        if attempt < retry.max_retries:
-            self._event(
-                "shard.retry",
-                index,
-                f"{spec.benchmark}/{spec.policy} attempt {attempt + 1} "
-                f"failed ({kind}) on {worker}; retrying",
-                failure_kind=kind,
-                attempt=attempt + 1,
-                exc_type=exc_type,
-                worker=worker,
-            )
-            # Backoff without blocking the handler thread: the requeued
-            # lease simply is not grantable until its not_before.
-            not_before = time.monotonic() + retry.delay(attempt + 1)
-            self._pending.append((index, attempt + 1, not_before))
-            return
-        self.outcomes[index] = SpecOutcome(
-            spec=spec,
-            index=index,
-            error=SpecFailure(
-                kind=kind,
-                exc_type=exc_type,
-                message=str(failure.get("message", "")),
-                traceback=str(failure.get("traceback", "")),
-            ),
-            attempts=attempt + 1,
-        )
-        self._event(
-            "shard.spec_failed",
-            index,
-            f"{spec.benchmark}/{spec.policy} failed permanently after "
-            f"{attempt + 1} attempt(s) ({kind})",
-            failure_kind=kind,
-            attempts=attempt + 1,
-            exc_type=exc_type,
-        )
 
     def stats(self) -> dict:
         """Progress counters (settled/executed/resumed/cached/...)."""
@@ -676,32 +523,25 @@ class _ShardHandler(socketserver.StreamRequestHandler):
                 kind = message["type"]
                 if kind == "heartbeat":
                     coordinator.heartbeat(worker)
-                elif kind == "lease":
-                    write_message(
-                        self.wfile,
-                        coordinator.grant(
+                    continue
+                try:
+                    if kind == "lease":
+                        reply = coordinator.grant(
                             worker, message.get("max", 1)
-                        ),
-                    )
-                elif kind == "result":
-                    try:
-                        coordinator.settle(worker, message)
-                    except ShardError as error:
-                        write_message(
-                            self.wfile,
-                            {"type": "error", "reason": str(error)},
                         )
-                        break
-                    write_message(self.wfile, {"type": "ack"})
-                else:
+                    elif kind == "result":
+                        coordinator.settle(worker, message)
+                        reply = {"type": "ack"}
+                    else:
+                        raise ShardError(f"unknown message type {kind!r}")
+                except ShardError as error:
+                    # A malformed request ends the connection; its
+                    # leases requeue through drop_worker below.
                     write_message(
-                        self.wfile,
-                        {
-                            "type": "error",
-                            "reason": f"unknown message type {kind!r}",
-                        },
+                        self.wfile, {"type": "error", "reason": str(error)}
                     )
                     break
+                write_message(self.wfile, reply)
         except (BrokenPipeError, ConnectionResetError, OSError):
             pass  # worker vanished mid-reply; drop_worker requeues
         finally:

@@ -6,10 +6,14 @@ or :func:`run_specs`, and a full paper reproduction runs hundreds of
 independent simulations.  Each run is CPU-bound pure Python/NumPy with
 no shared mutable state, which makes the matrix embarrassingly parallel
 -- but only if the observability guarantees survive the fan-out.  One
-runner, :class:`_OutcomeRunner`, executes every spec: serially or on a
-:class:`~concurrent.futures.ProcessPoolExecutor`, lane-batched or not,
-journaled and cached or not.  The entry points differ only in how they
-configure it and what they return:
+runner, :class:`_OutcomeRunner`, executes every local spec: serially or
+on a :class:`~concurrent.futures.ProcessPoolExecutor`, lane-batched or
+not, journaled and cached or not.  One ledger, :class:`_SweepLedger`,
+settles every spec of every sweep: the runner is a ledger, and so is
+the distributed :class:`~repro.sim.distributed.ShardCoordinator`, which
+settles its workers' wire payloads through the same resume, cache,
+journal, retry, fold and strict-mode bookkeeping.  The entry points
+differ only in how they configure the runner and what they return:
 
 * :func:`run_outcomes` + :class:`SweepOptions` / :class:`RetryPolicy`
   -- the fault-tolerant sweep: per-spec wall-clock timeouts, bounded
@@ -851,8 +855,8 @@ def run_outcomes(
         cluster = _DEFAULT_CLUSTER
     if cluster is not None:
         # Function-level import: repro.sim.distributed builds on this
-        # module.  The coordinator applies the same strict-mode
-        # aggregation itself, so return its outcomes directly.
+        # module.  The coordinator settles through the same ledger,
+        # strict-mode aggregation included.
         from repro.sim.distributed.coordinator import run_cluster_outcomes
 
         return run_cluster_outcomes(
@@ -862,24 +866,7 @@ def run_outcomes(
             telemetry=ensure_telemetry(telemetry),
             cache=cache,
         )
-    outcomes = _OutcomeRunner(
-        specs, jobs, telemetry, options, batch, cache
-    ).run()
-    failures = [o for o in outcomes if o.error is not None]
-    if failures and options.strict:
-        detail = "; ".join(
-            f"{o.spec.benchmark}/{o.spec.policy}[seed={o.spec.seed}] "
-            f"{o.error}"
-            for o in failures[:5]
-        )
-        if len(failures) > 5:
-            detail += f"; ... {len(failures) - 5} more"
-        raise SweepError(
-            f"{len(failures)} of {len(specs)} specs failed permanently: "
-            f"{detail}",
-            failures,
-        )
-    return outcomes
+    return _OutcomeRunner(specs, jobs, telemetry, options, batch, cache).run()
 
 
 def execute_payloads(
@@ -917,90 +904,74 @@ def execute_payloads(
     ]
 
 
-class _OutcomeRunner:
-    """One sweep execution: state + the retry/rebuild loop.
+class _SweepLedger:
+    """Settlement bookkeeping shared by every sweep that settles specs.
 
-    The only code that executes specs.  ``jobs``, ``batch`` and
-    ``cache`` resolve exactly as in :func:`run_specs`.  A ``fail_fast``
-    runner (``options`` must allow no retries) raises the first
-    permanent failure's original exception instead of isolating it.
-    ``config`` overrides the worker-local telemetry configuration that
-    is otherwise derived from the sink (the shard worker has no sink).
+    It owns the per-spec outcomes and everything that happens when one
+    settles: resume and cache pre-settlement, journaling and caching a
+    success, charging a failure against the :class:`RetryPolicy`, the
+    in-spec-order telemetry fold, the strict-mode
+    :class:`~repro.errors.SweepError`, and closing the journal and
+    flushing the cache.  :class:`_OutcomeRunner` settles the specs it
+    runs itself; :class:`~repro.sim.distributed.ShardCoordinator`
+    settles the codec payloads its workers send back.  Their
+    orchestration events differ only in prefix (``sweep.*`` here).
     """
+
+    #: Prefix of the resume, retry and spec-failed events.
+    _EVENTS = "sweep"
 
     def __init__(
         self,
         specs: list[WorkSpec],
-        jobs: int | None,
         telemetry,
         options: SweepOptions,
-        batch: int | None = None,
-        cache=None,
+        cache,
         *,
-        fail_fast: bool = False,
-        config: TelemetryConfig | None = None,
+        fingerprints: bool,
     ) -> None:
         self.specs = specs
         self.sink = ensure_telemetry(telemetry)
-        self.jobs = resolve_jobs(jobs, len(specs))
-        # Explicit argument > options.batch > process-wide default.
-        self.batch = batch = resolve_batch(
-            options.batch if batch is None else batch
-        )
         self.options = options
-        self.fail_fast = fail_fast
         #: The cross-sweep result cache, or None (see resolve_cache).
         self.cache = resolve_cache(cache)
-        #: Per-spec cache keys, computed only when the cache is on.
-        self._cache_keys: list[str | None] = [None] * len(specs)
-        #: Per-spec lane-compatibility keys (None = never batch).
-        self._batch_keys = (
-            [batch_compatibility_key(spec) for spec in specs]
-            if batch > 1
-            else None
-        )
-        #: Specs banned from batching: after an unattributable group
-        #: failure (timeout, group-level error) its lanes re-run as
-        #: singletons so blame is attributable on the next attempt.
-        self._no_batch: set[int] = set()
-        if config is None and self.sink.enabled:
-            config = _worker_telemetry_config(
-                getattr(self.sink, "config", None)
-            )
-        self.config = config
         n = len(specs)
+        #: Per-spec cache keys, computed only when the cache is on.
+        self._cache_keys: list[str | None] = [None] * n
+        #: Per-spec content fingerprints (journal and lease identities).
+        self._fingerprints: list[str | None] = (
+            [spec_fingerprint(spec) for spec in specs]
+            if fingerprints
+            else [None] * n
+        )
         self.outcomes: list[SpecOutcome | None] = [None] * n
         #: Worker-local telemetry of live successful runs, by index;
         #: dropped once folded into an enabled sink.
         self._locals: list[Telemetry | None] = [None] * n
-        #: Journaled telemetry payloads of resumed outcomes, by index.
+        #: Telemetry payloads of specs settled from codec payloads.
         self._saved_payloads: list[dict | None] = [None] * n
         self._journal: CheckpointJournal | None = None
-        self._fingerprints: list[str | None] = [None] * n
+        self._resumed = 0
+        self._cached = 0
         #: Specs before this index are folded into the sink.
         self._fold_cursor = 0
         self._folded = False
 
     # -- checkpoint and cache plumbing ---------------------------------------
-    def _open_journal(self) -> deque:
-        """Resolve resumed and cached specs; queue of (index, attempt).
+    def _open_journal(self) -> list[int]:
+        """Pre-settle resumed and cached specs; the rest, in spec order.
 
         Checkpoint resume wins over the cache (both replay the same
-        codec payloads, but the journal is this sweep's own authority);
-        a resumed entry also warms the cache, so a later sweep without
-        the journal still hits.  Cache hits are pre-settled here
-        exactly like resumed outcomes -- and journaled, so a
-        ``--resume`` of an interrupted warm sweep works -- which is
-        what keeps them out of every execution path (no pool slot, no
-        batch lane, no shard lease).
+        codec payloads, but the journal is this sweep's own authority).
+        Both settle through :meth:`_settle_payload`, so a resumed entry
+        also warms the cache (a later sweep without the journal still
+        hits) and a cache hit is journaled (a ``--resume`` of an
+        interrupted warm sweep works).  Pre-settled specs never reach
+        an execution path: no pool slot, no batch lane, no shard lease.
         """
         options = self.options
-        queue: deque = deque()
         saved: dict[str, list[dict]] = {}
         if options.checkpoint_path is not None:
-            self._fingerprints = [
-                spec_fingerprint(spec) for spec in self.specs
-            ]
             if options.resume:
                 saved = load_checkpoint(options.checkpoint_path)
             self._journal = CheckpointJournal.open(
@@ -1010,30 +981,12 @@ class _OutcomeRunner:
             from repro.sim.cache import cache_key
 
             self._cache_keys = [cache_key(spec) for spec in self.specs]
-        resumed = 0
-        cached = 0
-        for index, spec in enumerate(self.specs):
+        unsettled: list[int] = []
+        for index in range(len(self.specs)):
             entries = saved.get(self._fingerprints[index] or "")
             if entries:
-                entry = entries.pop(0)
-                self.outcomes[index] = SpecOutcome(
-                    spec=spec,
-                    index=index,
-                    result=result_from_dict(entry["result"]),
-                    attempts=entry.get("attempts", 1),
-                    from_checkpoint=True,
-                )
-                self._saved_payloads[index] = entry.get("telemetry")
-                resumed += 1
-                if self.cache is not None:
-                    self.cache.store_payload(
-                        self._cache_keys[index],
-                        spec,
-                        entry["result"],
-                        entry.get("telemetry"),
-                        attempts=entry.get("attempts", 1),
-                        fingerprint=self._fingerprints[index],
-                    )
+                self._resumed += 1
+                self._settle_entry(index, entries.pop(0), from_checkpoint=True)
                 continue
             if self.cache is not None:
                 entry = self.cache.lookup(
@@ -1041,46 +994,30 @@ class _OutcomeRunner:
                     need_telemetry=self.sink.enabled,
                 )
                 if entry is not None:
-                    self.outcomes[index] = SpecOutcome(
-                        spec=spec,
-                        index=index,
-                        result=result_from_dict(entry["result"]),
-                        attempts=entry.get("attempts", 1),
-                        from_cache=True,
-                    )
-                    self._saved_payloads[index] = entry.get("telemetry")
-                    cached += 1
-                    if self._journal is not None:
-                        self._journal.append_payload(
-                            self._fingerprints[index],
-                            spec,
-                            entry.get("attempts", 1),
-                            entry["result"],
-                            entry.get("telemetry"),
-                        )
+                    self._cached += 1
+                    self._settle_entry(index, entry, from_cache=True)
                     continue
-            queue.append((index, 0))
-        if resumed and self.sink.enabled:
-            self.sink.event(
-                "sweep.resume",
+            unsettled.append(index)
+        total = len(self.specs)
+        if self._resumed:
+            self._event(
+                f"{self._EVENTS}.resume",
                 -1,
-                f"resumed {resumed} of {len(self.specs)} specs "
-                f"from checkpoint",
-                resumed=resumed,
-                total=len(self.specs),
+                f"resumed {self._resumed} of {total} specs from checkpoint",
+                resumed=self._resumed,
+                total=total,
                 path=str(options.checkpoint_path),
             )
-        if cached and self.sink.enabled:
-            self.sink.event(
+        if self._cached:
+            self._event(
                 "cache.hit",
                 -1,
-                f"result cache replayed {cached} of {len(self.specs)} "
-                f"specs",
-                hits=cached,
-                total=len(self.specs),
+                f"result cache replayed {self._cached} of {total} specs",
+                hits=self._cached,
+                total=total,
                 path=str(self.cache.directory),
             )
-        return queue
+        return unsettled
 
     def close(self) -> None:
         """Close the journal; flush cache bookkeeping (idempotent)."""
@@ -1091,9 +1028,73 @@ class _OutcomeRunner:
             self.cache.flush()
 
     # -- outcome bookkeeping -------------------------------------------------
+    def _event(self, kind: str, index: int, message: str, **fields) -> None:
+        """Emit one orchestration event onto an enabled sink."""
+        if self.sink.enabled:
+            self.sink.event(kind, index, message, **fields)
+
+    def _settle_entry(self, index: int, entry: dict, **source) -> None:
+        """Pre-settle one journal or cache entry (``from_*`` flag set)."""
+        self._settle_payload(
+            index,
+            entry.get("attempts", 1),
+            result_from_dict(entry["result"]),
+            entry["result"],
+            entry.get("telemetry"),
+            **source,
+        )
+
+    def _settle_payload(
+        self,
+        index: int,
+        attempts: int,
+        result: RunResult,
+        result_payload: dict,
+        telemetry_payload: dict | None,
+        *,
+        from_checkpoint: bool = False,
+        from_cache: bool = False,
+    ) -> None:
+        """Settle one success that arrived as codec payloads.
+
+        The payloads are journaled and cached verbatim -- re-encoding
+        ``result`` (their decoded form) would only risk drift -- except
+        where they came from: a resumed entry is not journaled again,
+        a cache hit is not stored again.  Durable before settled: the
+        outcome is recorded only once both writes are done.
+        """
+        spec = self.specs[index]
+        if self._journal is not None and not from_checkpoint:
+            self._journal.append_payload(
+                self._fingerprints[index],
+                spec,
+                attempts,
+                result_payload,
+                telemetry_payload,
+            )
+        if self.cache is not None and not from_cache:
+            self.cache.store_payload(
+                self._cache_keys[index],
+                spec,
+                result_payload,
+                telemetry_payload,
+                attempts=attempts,
+                fingerprint=self._fingerprints[index],
+            )
+        self.outcomes[index] = SpecOutcome(
+            spec=spec,
+            index=index,
+            result=result,
+            attempts=attempts,
+            from_checkpoint=from_checkpoint,
+            from_cache=from_cache,
+        )
+        self._saved_payloads[index] = telemetry_payload
+
     def _finish_success(
         self, index: int, attempt: int, result: RunResult, local
     ) -> None:
+        """Settle one success that ran in this process tree; fold."""
         self.outcomes[index] = SpecOutcome(
             spec=self.specs[index],
             index=index,
@@ -1119,6 +1120,187 @@ class _OutcomeRunner:
             )
         self._fold_settled()
 
+    def _charge_failure(
+        self,
+        index: int,
+        attempt: int,
+        kind: str,
+        exc_type: str,
+        message: str,
+        traceback: str = "",
+        worker: str | None = None,
+    ) -> float | None:
+        """Charge one failed attempt against the retry budget.
+
+        Returns the backoff before the retry, or ``None`` once the
+        budget is spent: the spec then settles as a permanent
+        :class:`SpecFailure` and the fold moves on.  ``worker`` names
+        where a remote attempt failed, in the retry event.
+        """
+        spec = self.specs[index]
+        retry = self.options.retry
+        if attempt < retry.max_retries:
+            where, fields = (
+                ("", {}) if worker is None
+                else (f" on {worker}", {"worker": worker})
+            )
+            self._event(
+                f"{self._EVENTS}.retry",
+                index,
+                f"{spec.benchmark}/{spec.policy} attempt {attempt + 1} "
+                f"failed ({kind}){where}; retrying",
+                failure_kind=kind,
+                attempt=attempt + 1,
+                exc_type=exc_type,
+                **fields,
+            )
+            return retry.delay(attempt + 1)
+        self.outcomes[index] = SpecOutcome(
+            spec=spec,
+            index=index,
+            error=SpecFailure(
+                kind=kind,
+                exc_type=exc_type,
+                message=message,
+                traceback=traceback,
+            ),
+            attempts=attempt + 1,
+        )
+        self._event(
+            f"{self._EVENTS}.spec_failed",
+            index,
+            f"{spec.benchmark}/{spec.policy} failed permanently "
+            f"after {attempt + 1} attempt(s) ({kind})",
+            failure_kind=kind,
+            attempts=attempt + 1,
+            exc_type=exc_type,
+        )
+        self._fold_settled()
+        return None
+
+    def _checked_outcomes(self) -> list[SpecOutcome]:
+        """The settled outcomes; under ``options.strict``, raise one
+        aggregated :class:`~repro.errors.SweepError` if any failed."""
+        outcomes = list(self.outcomes)
+        failures = [o for o in outcomes if o.error is not None]
+        if failures and self.options.strict:
+            detail = "; ".join(
+                f"{o.spec.benchmark}/{o.spec.policy}[seed={o.spec.seed}] "
+                f"{o.error}"
+                for o in failures[:5]
+            )
+            if len(failures) > 5:
+                detail += f"; ... {len(failures) - 5} more"
+            raise SweepError(
+                f"{len(failures)} of {len(outcomes)} specs failed "
+                f"permanently: {detail}",
+                failures,
+            )
+        return outcomes
+
+    # -- telemetry folding ---------------------------------------------------
+    def _fold_one(self, index: int) -> None:
+        """Fold one settled spec's telemetry into the sink; drop it."""
+        if self.outcomes[index].error is None:
+            if self._locals[index] is not None:
+                merge_telemetry(self.sink, self._locals[index])
+            else:
+                fold_saved_telemetry(self.sink, self._saved_payloads[index])
+        self._locals[index] = None
+        self._saved_payloads[index] = None
+
+    def _fold_settled(self) -> None:
+        """Fold the leading run of settled specs, in spec order.
+
+        Called after every settlement: retries, crash re-runs and
+        remote workers complete out of spec order, and only a strict
+        in-spec-order fold reproduces the serial emit sequence the
+        decimation/parity guarantees rest on.  Failed specs contribute
+        nothing -- a half-run's telemetry would poison determinism.
+        With a disabled sink nothing folds and the locals stay (the
+        shard worker returns them).
+        """
+        if self._folded or not self.sink.enabled:
+            return
+        while (
+            self._fold_cursor < len(self.specs)
+            and self.outcomes[self._fold_cursor] is not None
+        ):
+            self._fold_one(self._fold_cursor)
+            self._fold_cursor += 1
+
+    def fold_telemetry(self) -> None:
+        """End of sweep: fold every remaining settled spec, in spec order.
+
+        Idempotent; also runs when an interrupt, a fail-fast failure or
+        a stopped coordinator ends the sweep, so specs settled past an
+        unsettled one still fold.
+        """
+        if self._folded or not self.sink.enabled:
+            return
+        self._folded = True
+        for index in range(self._fold_cursor, len(self.specs)):
+            if self.outcomes[index] is not None:
+                self._fold_one(index)
+        self._fold_cursor = len(self.specs)
+        if self.specs:
+            last = self.specs[-1]
+            self.sink.set_context(last.benchmark, last.policy)
+
+
+class _OutcomeRunner(_SweepLedger):
+    """One local sweep execution: the retry/rebuild loop.
+
+    The only code that executes specs; settlement is the ledger's.
+    ``jobs``, ``batch`` and ``cache`` resolve exactly as in
+    :func:`run_specs`.  A ``fail_fast`` runner (``options`` must allow
+    no retries) raises the first permanent failure's original
+    exception instead of isolating it.  ``config`` overrides the
+    worker-local telemetry configuration that is otherwise derived
+    from the sink (the shard worker has no sink).
+    """
+
+    def __init__(
+        self,
+        specs: list[WorkSpec],
+        jobs: int | None,
+        telemetry,
+        options: SweepOptions,
+        batch: int | None = None,
+        cache=None,
+        *,
+        fail_fast: bool = False,
+        config: TelemetryConfig | None = None,
+    ) -> None:
+        super().__init__(
+            specs,
+            telemetry,
+            options,
+            cache,
+            fingerprints=options.checkpoint_path is not None,
+        )
+        self.jobs = resolve_jobs(jobs, len(specs))
+        # Explicit argument > options.batch > process-wide default.
+        self.batch = batch = resolve_batch(
+            options.batch if batch is None else batch
+        )
+        self.fail_fast = fail_fast
+        #: Per-spec lane-compatibility keys (None = never batch).
+        self._batch_keys = (
+            [batch_compatibility_key(spec) for spec in specs]
+            if batch > 1
+            else None
+        )
+        #: Specs banned from batching: after an unattributable group
+        #: failure (timeout, group-level error) its lanes re-run as
+        #: singletons so blame is attributable on the next attempt.
+        self._no_batch: set[int] = set()
+        if config is None and self.sink.enabled:
+            config = _worker_telemetry_config(
+                getattr(self.sink, "config", None)
+            )
+        self.config = config
+
     def _register_failure(
         self,
         index: int,
@@ -1131,52 +1313,23 @@ class _OutcomeRunner:
     ) -> bool:
         """Handle one failed attempt; True if the spec should retry.
 
-        A fail-fast runner raises a permanent failure right here: the
-        spec's own exception ``error``, or -- when none survived the
-        trip back from a worker (a crash, an unpicklable exception) --
-        a :class:`~repro.errors.SweepError` carrying the outcome.
+        A retry first sleeps out its backoff.  A fail-fast runner
+        raises a permanent failure right here: the spec's own exception
+        ``error``, or -- when none survived the trip back from a worker
+        (a crash, an unpicklable exception) -- a
+        :class:`~repro.errors.SweepError` carrying the outcome.
         """
-        spec = self.specs[index]
-        retry = self.options.retry
-        if attempt < retry.max_retries:
-            if self.sink.enabled:
-                self.sink.event(
-                    "sweep.retry",
-                    index,
-                    f"{spec.benchmark}/{spec.policy} attempt "
-                    f"{attempt + 1} failed ({kind}); retrying",
-                    failure_kind=kind,
-                    attempt=attempt + 1,
-                    exc_type=exc_type,
-                )
-            delay = retry.delay(attempt + 1)
+        delay = self._charge_failure(
+            index, attempt, kind, exc_type, message, traceback
+        )
+        if delay is not None:
             if delay > 0:
                 time.sleep(delay)
             return True
-        outcome = self.outcomes[index] = SpecOutcome(
-            spec=spec,
-            index=index,
-            error=SpecFailure(
-                kind=kind,
-                exc_type=exc_type,
-                message=message,
-                traceback=traceback,
-            ),
-            attempts=attempt + 1,
-        )
-        if self.sink.enabled:
-            self.sink.event(
-                "sweep.spec_failed",
-                index,
-                f"{spec.benchmark}/{spec.policy} failed permanently "
-                f"after {attempt + 1} attempt(s) ({kind})",
-                failure_kind=kind,
-                attempts=attempt + 1,
-                exc_type=exc_type,
-            )
-        self._fold_settled()
         if self.fail_fast:
             if error is None:
+                outcome = self.outcomes[index]
+                spec = outcome.spec
                 error = SweepError(
                     f"{spec.benchmark}/{spec.policy}[seed={spec.seed}] "
                     f"{outcome.error}",
@@ -1191,10 +1344,11 @@ class _OutcomeRunner:
 
         However the sweep ends -- completed, interrupted, or stopped by
         a fail-fast failure -- the journal closes, the cache flushes,
-        and the settled runs' telemetry folds into the sink.
+        and the settled runs' telemetry folds into the sink.  Under
+        ``options.strict`` any permanent failure then raises.
         """
         try:
-            queue = self._open_journal()
+            queue = deque((index, 0) for index in self._open_journal())
             self._fold_settled()
             if queue:
                 # Timeouts are only enforceable on a pool (a hung
@@ -1205,10 +1359,10 @@ class _OutcomeRunner:
                     self._run_serial(queue)
                 else:
                     self._run_pool(queue)
-            return list(self.outcomes)  # all filled now
         finally:
             self.close()
             self.fold_telemetry()
+        return self._checked_outcomes()  # all filled now
 
     def _next_group(self, queue: deque) -> list[tuple[int, int]]:
         """Pop the leading lane group: compatible consecutive specs.
@@ -1306,15 +1460,14 @@ class _OutcomeRunner:
         """Record one timed-out attempt; True if the spec retries."""
         spec = self.specs[index]
         timeout = self.options.timeout_seconds
-        if self.sink.enabled:
-            self.sink.event(
-                "sweep.timeout",
-                index,
-                f"{spec.benchmark}/{spec.policy} exceeded {timeout}s; "
-                f"terminating its worker",
-                timeout_seconds=timeout,
-                attempt=attempt + 1,
-            )
+        self._event(
+            "sweep.timeout",
+            index,
+            f"{spec.benchmark}/{spec.policy} exceeded {timeout}s; "
+            f"terminating its worker",
+            timeout_seconds=timeout,
+            attempt=attempt + 1,
+        )
         return self._register_failure(
             index,
             attempt,
@@ -1405,14 +1558,13 @@ class _OutcomeRunner:
                         reversed(self._harvest_in_flight(in_flight))
                     )
                     unattributed_deaths += 1
-                    if self.sink.enabled:
-                        self.sink.event(
-                            "sweep.pool_crash",
-                            pending[0][0],
-                            "worker pool died before accepting work; "
-                            "rebuilding",
-                            deaths=unattributed_deaths,
-                        )
+                    self._event(
+                        "sweep.pool_crash",
+                        pending[0][0],
+                        "worker pool died before accepting work; "
+                        "rebuilding",
+                        deaths=unattributed_deaths,
+                    )
                     rebuild()
                     if unattributed_deaths > options.max_pool_rebuilds:
                         self._degrade(queue, solo, unattributed_deaths)
@@ -1451,16 +1603,15 @@ class _OutcomeRunner:
                         # singletons, so a genuinely hung lane is
                         # charged on its next, solo, attempt.
                         self._no_batch.update(i for i, _ in lanes)
-                        if self.sink.enabled:
-                            self.sink.event(
-                                "sweep.timeout",
-                                index,
-                                f"batched group of {len(lanes)} lanes "
-                                f"exceeded {timeout}s per lane; "
-                                f"re-running its lanes unbatched",
-                                timeout_seconds=timeout,
-                                lanes=len(lanes),
-                            )
+                        self._event(
+                            "sweep.timeout",
+                            index,
+                            f"batched group of {len(lanes)} lanes "
+                            f"exceeded {timeout}s per lane; "
+                            f"re-running its lanes unbatched",
+                            timeout_seconds=timeout,
+                            lanes=len(lanes),
+                        )
                         queue.extendleft(reversed(lanes))
                     queue.extendleft(
                         reversed(self._harvest_in_flight(in_flight))
@@ -1470,14 +1621,13 @@ class _OutcomeRunner:
                     if is_solo:
                         # An isolated re-run killed its own pool:
                         # definitively the crasher -- charge it.
-                        if self.sink.enabled:
-                            self.sink.event(
-                                "sweep.pool_crash",
-                                index,
-                                f"{spec.benchmark}/{spec.policy} killed "
-                                f"its worker (isolated re-run); charged",
-                                attempt=attempt + 1,
-                            )
+                        self._event(
+                            "sweep.pool_crash",
+                            index,
+                            f"{spec.benchmark}/{spec.policy} killed "
+                            f"its worker (isolated re-run); charged",
+                            attempt=attempt + 1,
+                        )
                         if self._register_failure(
                             index,
                             attempt,
@@ -1496,16 +1646,15 @@ class _OutcomeRunner:
                         suspects = len(lanes) + sum(
                             len(entry[0]) for entry in in_flight
                         )
-                        if self.sink.enabled:
-                            self.sink.event(
-                                "sweep.pool_crash",
-                                index,
-                                f"worker process died with "
-                                f"{suspects} specs in flight; "
-                                f"isolating suspects",
-                                deaths=unattributed_deaths,
-                                suspects=suspects,
-                            )
+                        self._event(
+                            "sweep.pool_crash",
+                            index,
+                            f"worker process died with "
+                            f"{suspects} specs in flight; "
+                            f"isolating suspects",
+                            deaths=unattributed_deaths,
+                            suspects=suspects,
+                        )
                         solo.extend(lanes)
                         solo.extend(self._harvest_in_flight(in_flight))
                         rebuild()
@@ -1548,64 +1697,13 @@ class _OutcomeRunner:
         """
         remaining = deque(solo)
         remaining.extend(queue)
-        if self.sink.enabled:
-            self.sink.event(
-                "sweep.degraded",
-                -1,
-                f"{rebuilds} pool deaths exceeded "
-                f"max_pool_rebuilds={self.options.max_pool_rebuilds}; "
-                f"finishing {len(remaining)} specs serially in-process",
-                rebuilds=rebuilds,
-                remaining=len(remaining),
-            )
+        self._event(
+            "sweep.degraded",
+            -1,
+            f"{rebuilds} pool deaths exceeded "
+            f"max_pool_rebuilds={self.options.max_pool_rebuilds}; "
+            f"finishing {len(remaining)} specs serially in-process",
+            rebuilds=rebuilds,
+            remaining=len(remaining),
+        )
         self._run_serial(remaining)
-
-    # -- telemetry folding ---------------------------------------------------
-    def _fold_one(self, index: int) -> None:
-        """Fold one settled spec's telemetry into the sink; drop it."""
-        outcome = self.outcomes[index]
-        if outcome.error is None:
-            if outcome.from_checkpoint or outcome.from_cache:
-                fold_saved_telemetry(self.sink, self._saved_payloads[index])
-            elif self._locals[index] is not None:
-                merge_telemetry(self.sink, self._locals[index])
-        self._locals[index] = None
-        self._saved_payloads[index] = None
-
-    def _fold_settled(self) -> None:
-        """Fold the leading run of settled specs, in spec order.
-
-        Called after every settlement: retries and crash re-runs
-        complete out of spec order, and only a strict in-spec-order
-        fold reproduces the serial emit sequence the decimation/parity
-        guarantees rest on.  Failed specs contribute nothing -- a
-        half-run's telemetry would poison determinism.  With a
-        disabled sink nothing folds and the locals stay (the shard
-        worker returns them).
-        """
-        if self._folded or not self.sink.enabled:
-            return
-        while (
-            self._fold_cursor < len(self.specs)
-            and self.outcomes[self._fold_cursor] is not None
-        ):
-            self._fold_one(self._fold_cursor)
-            self._fold_cursor += 1
-
-    def fold_telemetry(self) -> None:
-        """End of sweep: fold every remaining settled spec, in spec order.
-
-        Idempotent; also runs when an interrupt or a fail-fast failure
-        stops the sweep, so specs settled past an unsettled one still
-        fold.
-        """
-        if self._folded or not self.sink.enabled:
-            return
-        self._folded = True
-        for index in range(self._fold_cursor, len(self.specs)):
-            if self.outcomes[index] is not None:
-                self._fold_one(index)
-        self._fold_cursor = len(self.specs)
-        if self.specs:
-            last = self.specs[-1]
-            self.sink.set_context(last.benchmark, last.policy)

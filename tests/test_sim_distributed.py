@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 import socket
+import sys
 import threading
 import time
 
@@ -30,10 +32,12 @@ from hypothesis import strategies as st
 
 from repro.config import TelemetryConfig
 from repro.errors import CodecError, ConfigError, ShardError, SweepError
+from repro.sim.cache import ResultCache, cache_key
 from repro.sim.checkpoint import load_checkpoint, spec_fingerprint
 from repro.sim.codec import (
     decode_value,
     encode_value,
+    result_to_dict,
     spec_from_dict,
     spec_to_dict,
 )
@@ -384,6 +388,96 @@ class TestHandshake:
             with pytest.raises(ShardError):
                 coordinator.wait()
 
+    @pytest.mark.parametrize(
+        "message",
+        [
+            {"type": "result", "attempt": None},
+            {"type": "result", "attempt": "x"},
+            {"type": "result", "attempt": -7},
+            {"type": "result", "attempt": True},
+            {"type": "result", "ok": "yes"},
+            {"type": "result", "failure": ["kind", "error"]},
+            {"type": "lease", "max": "x"},
+            {"type": "lease", "max": None},
+            {"type": "lease", "max": [1]},
+        ],
+        ids=[
+            "attempt-none", "attempt-str", "attempt-negative",
+            "attempt-bool", "ok-str", "failure-list", "max-str",
+            "max-none", "max-list",
+        ],
+    )
+    def test_malformed_fields_get_an_error_reply(self, message):
+        """Worker-supplied numbers and objects are checked, never
+        trusted: a bad field gets an ``error`` reply, settles nothing,
+        and the connection's lease requeues uncharged."""
+        coordinator = ShardCoordinator(
+            _specs()[:1], _cluster(), telemetry=_quiet()
+        )
+        coordinator.start()
+        try:
+            client = _RawClient(coordinator.port)
+            assert client.read()["type"] == "welcome"
+            lease = client.lease(1)["leases"][0]
+            client.send(
+                {
+                    "index": lease["index"],
+                    "fingerprint": lease["fingerprint"],
+                    "attempt": lease["attempt"],
+                    "ok": False,
+                    "failure": {"kind": "error", "exc_type": "Boom"},
+                    **message,
+                }
+            )
+            reply = client.read()
+            assert reply["type"] == "error"
+            assert client.read() is None  # the coordinator hung up
+            client.close()
+            deadline = time.monotonic() + 10
+            while coordinator.stats()["pending"] != 1:
+                assert time.monotonic() < deadline, coordinator.stats()
+                time.sleep(0.01)
+            assert coordinator.stats()["settled"] == 0
+        finally:
+            coordinator.request_stop()
+            with pytest.raises(ShardError, match="stopped before"):
+                coordinator.wait()
+
+    def test_failures_are_charged_at_the_issued_attempt(self):
+        """A worker claiming attempt 99 cannot spend the spec's whole
+        retry budget: the coordinator charges the attempt it issued."""
+        coordinator = ShardCoordinator(
+            _specs()[:1],
+            _cluster(),
+            options=SweepOptions(retry=RetryPolicy(max_retries=3)),
+            telemetry=_quiet(),
+        )
+        coordinator.start()
+        try:
+            client = _RawClient(coordinator.port)
+            assert client.read()["type"] == "welcome"
+            for issued in range(2):
+                lease = client.lease(1)["leases"][0]
+                assert lease["attempt"] == issued
+                client.send(
+                    {
+                        "type": "result",
+                        "index": lease["index"],
+                        "fingerprint": lease["fingerprint"],
+                        "attempt": 99,
+                        "ok": False,
+                        "failure": {"kind": "error", "exc_type": "Boom"},
+                    }
+                )
+                assert client.read()["type"] == "ack"
+            assert coordinator.stats()["settled"] == 0
+            assert client.lease(1)["leases"][0]["attempt"] == 2
+            client.close()
+        finally:
+            coordinator.request_stop()
+            with pytest.raises(ShardError, match="stopped before"):
+                coordinator.wait()
+
 
 # -- worker-side execution entry ----------------------------------------------
 class TestExecutePayloads:
@@ -498,6 +592,32 @@ class TestBitIdentity:
         distributed = reference["distributed_journal_lines"]
         assert serial[0] == distributed[0]  # the repro.sweep/v1 header
         assert sorted(serial[1:]) == sorted(distributed[1:])
+
+    def test_many_workers_fold_in_spec_order(self):
+        """More worker threads than cores and a short switch interval:
+        specs settle out of order on concurrent handler threads, and
+        the in-lock fold still reproduces the serial sink exactly."""
+        specs = matrix_specs(
+            BENCHMARKS, ("none", "pid", "toggle1"), instructions=60_000
+        )
+        serial_sink = _quiet()
+        serial = run_outcomes(specs, telemetry=serial_sink)
+        sink = _quiet()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            outcomes = _run_distributed(specs, telemetry=sink, workers=6)
+        finally:
+            sys.setswitchinterval(interval)
+        for d, s in zip(outcomes, serial):
+            assert_results_equal(d.result, s.result)
+        assert _records_equal(
+            sink.trace.records(), serial_sink.trace.records()
+        )
+        assert _comparable_events(sink) == _comparable_events(serial_sink)
+        assert_metrics_match(
+            _comparable_metrics(serial_sink), _comparable_metrics(sink)
+        )
 
     def test_run_suite_routes_through_the_cluster(self):
         with socket.socket() as probe:
@@ -640,6 +760,59 @@ class TestFaultTolerance:
                 specs, workers=1, options=SweepOptions(strict=True)
             )
 
+    def test_malformed_telemetry_is_rejected_before_it_is_stored(
+        self, tmp_path
+    ):
+        """A result whose telemetry payload does not decode gets an
+        ``error`` reply, leaves no journal line and no cache entry, and
+        its lease requeues to an honest worker."""
+        specs = _specs()[:1]
+        journal = tmp_path / "sweep.ckpt.jsonl"
+        store = tmp_path / "cache"
+        serial = run_outcomes(specs)[0].result
+        coordinator = ShardCoordinator(
+            specs,
+            _cluster(),
+            options=SweepOptions(checkpoint_path=journal),
+            telemetry=_quiet(),
+            cache=store,
+        )
+        coordinator.start()
+        worker = None
+        try:
+            client = _RawClient(coordinator.port)
+            assert client.read()["type"] == "welcome"
+            lease = client.lease(1)["leases"][0]
+            client.send(
+                {
+                    "type": "result",
+                    "index": lease["index"],
+                    "fingerprint": lease["fingerprint"],
+                    "attempt": lease["attempt"],
+                    "ok": True,
+                    "result": result_to_dict(serial),
+                    "telemetry": {"records": [{"bogus": 1}]},
+                }
+            )
+            reply = client.read()
+            assert reply["type"] == "error"
+            assert "telemetry" in reply["reason"]
+            client.close()
+            assert load_checkpoint(journal) == {}
+            assert ResultCache(store).lookup(cache_key(specs[0])) is None
+            worker = _start_worker(coordinator.port)
+            outcomes = coordinator.wait()
+        finally:
+            coordinator.request_stop()
+            if worker is not None:
+                worker.join(timeout=60)
+        assert outcomes[0].error is None and outcomes[0].attempts == 1
+        assert_results_equal(outcomes[0].result, serial)
+        # The store holds the honest result, and replays it warm.
+        warm = run_outcomes(specs, telemetry=_quiet(), cache=store)
+        assert warm[0].from_cache
+        assert_results_equal(warm[0].result, serial)
+
 
 # -- coordinator kill-and-resume ----------------------------------------------
 class TestResume:
@@ -738,3 +911,79 @@ class TestResume:
         serial = run_outcomes(specs, jobs=1)
         for d, s in zip(outcomes, serial):
             assert_results_equal(d.result, s.result)
+
+    def test_mixed_presettlement_matches_the_local_runner(self, tmp_path):
+        """Journal holds spec 0, the cache specs 0 and 1, spec 2 is
+        fresh: the coordinator pre-settles exactly as ``run_outcomes``
+        does.  The journal wins over the cache, the resumed entry warms
+        the cache, the cache hit is journaled, and the journals, stores
+        and sinks (orchestration events aside) come out identical."""
+        specs = _specs()[:3]
+        state = tmp_path / "state"
+        journal = state / "sweep.ckpt.jsonl"
+        store = state / "cache"
+        run_outcomes(
+            specs[:1],
+            telemetry=_quiet(),
+            options=SweepOptions(checkpoint_path=journal),
+        )
+        # Spec 0's cache entry has no telemetry, so only the resumed
+        # journal entry can warm it into a telemetry-bearing hit.
+        run_outcomes(specs[:1], cache=store)
+        run_outcomes(specs[1:2], telemetry=_quiet(), cache=store)
+        key0 = cache_key(specs[0])
+        assert ResultCache(store).lookup(key0, need_telemetry=True) is None
+        pristine = tmp_path / "pristine"
+        shutil.copytree(state, pristine)
+        options = SweepOptions(checkpoint_path=journal, resume=True)
+
+        def snapshot(outcomes, sink):
+            assert ResultCache(store).lookup(key0, need_telemetry=True)
+            return {
+                "outcomes": outcomes,
+                "sink": sink,
+                "journal": journal.read_bytes(),
+                "store": (store / "cache.log").read_bytes(),
+            }
+
+        local_sink = _quiet()
+        local = snapshot(
+            run_outcomes(
+                specs, telemetry=local_sink, options=options, cache=store
+            ),
+            local_sink,
+        )
+        shutil.rmtree(state)
+        shutil.copytree(pristine, state)
+        shard_sink = _quiet()
+        coordinator = ShardCoordinator(
+            specs, _cluster(), options=options, telemetry=shard_sink,
+            cache=store,
+        )
+        coordinator.start()
+        worker = _start_worker(coordinator.port)
+        try:
+            shard = snapshot(coordinator.wait(), shard_sink)
+        finally:
+            coordinator.request_stop()
+            worker.join(timeout=60)
+
+        for run in (local, shard):
+            assert [
+                (o.from_checkpoint, o.from_cache, o.attempts)
+                for o in run["outcomes"]
+            ] == [(True, False, 1), (False, True, 1), (False, False, 1)]
+        for a, b in zip(local["outcomes"], shard["outcomes"]):
+            assert_results_equal(a.result, b.result)
+        assert shard["journal"] == local["journal"]
+        assert len(load_checkpoint(journal)) == len(specs)
+        assert shard["store"] == local["store"]
+        assert _records_equal(
+            shard_sink.trace.records(), local_sink.trace.records()
+        )
+        assert _comparable_events(shard_sink) == _comparable_events(
+            local_sink
+        )
+        assert_metrics_match(
+            _comparable_metrics(local_sink), _comparable_metrics(shard_sink)
+        )
