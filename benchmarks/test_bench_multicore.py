@@ -13,6 +13,13 @@ The asserted bound -- vectorized at least 3x faster than 16 sequential
 typical measured speedup is well above it.  Timing is best-of-repeats
 ``perf_counter`` over many advance calls, so scheduler noise cancels.
 
+A second guard times the whole engine: ``MulticoreEngine`` (prebuilt
+phase tables, one stacked power expression, one two-threshold
+fractions pass) must stay at least 1.3x faster than the original
+per-core sample body it replaced, pinned as
+``tests/multicore_reference.py::ReferenceMulticoreEngine`` and held
+bit-identical to it by ``tests/test_multicore_reference.py``.
+
 Needs no pytest plugins; CI runs it in the multicore smoke job:
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_multicore.py -q
@@ -22,9 +29,11 @@ import time
 
 import numpy as np
 
+from repro.multicore.engine import MulticoreEngine
 from repro.multicore.floorplan import MulticoreFloorplan
 from repro.multicore.thermal import MulticoreThermalModel
 from repro.thermal.lumped import LumpedThermalModel
+from tests.multicore_reference import ReferenceMulticoreEngine
 
 #: Core count for the comparison -- the experiment driver's largest N.
 N_CORES = 16
@@ -37,6 +46,14 @@ CYCLES = 1_000
 
 #: Required speedup of the stacked update over N sequential updates.
 SPEEDUP_FLOOR = 3.0
+
+#: Engine guard: an 8-core hot/cool mix under per-core pid with the
+#: proportional coordinator, at extension_multicore's --quick budget.
+ENGINE_MIX = ("gcc", "gzip", "art", "mesa") * 2
+ENGINE_INSTRUCTIONS = 400_000
+
+#: Required speedup of the engine over the pinned original body.
+ENGINE_SPEEDUP_FLOOR = 1.3
 
 
 def _power_schedule(shape: tuple[int, int]) -> np.ndarray:
@@ -100,3 +117,24 @@ def test_vectorized_matches_sequential_state():
             single.advance(powers[step, core], CYCLES)
     expected = np.stack([single.temperatures for single in singles])
     assert np.array_equal(model.temperatures, expected)
+
+
+def _time_engine(cls, repeats: int = 5) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        engine = cls(ENGINE_MIX, policy="pid", coordinator="proportional")
+        start = time.perf_counter()
+        engine.run(instructions=ENGINE_INSTRUCTIONS)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_engine_beats_reference():
+    """The fused sample kernel must be >= 1.3x the original body."""
+    reference = _time_engine(ReferenceMulticoreEngine)
+    engine = _time_engine(MulticoreEngine)
+    assert engine * ENGINE_SPEEDUP_FLOOR <= reference, (
+        f"8-core pid/proportional run: {1e3 * engine:.1f} ms vs "
+        f"{1e3 * reference:.1f} ms for the reference body (speedup "
+        f"{reference / engine:.2f}x < {ENGINE_SPEEDUP_FLOOR:g}x)"
+    )

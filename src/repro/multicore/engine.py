@@ -7,7 +7,11 @@ and stacked where it pays:
 1. each core looks up *its own* workload phase (migration-free
    multiprogram mix: one :class:`~repro.workloads.profiles.
    BenchmarkProfile` per core, each with its own jitter stream seeded
-   ``[profile.seed, run_seed, core_index]``);
+   ``[profile.seed, run_seed, core_index]``) in phase tables built once
+   per run by :func:`~repro.sim.fast.build_phase_tables`: one
+   ``bisect`` per core and sample, with the jittered activity written
+   into that core's row of a preallocated ``(n_cores, n_blocks)``
+   array;
 2. each core's DTM loop (sensor -> optional failsafe guard -> policy ->
    quantized actuator) proposes a fetch duty from its own hottest
    block;
@@ -15,13 +19,22 @@ and stacked where it pays:
    ThermalBudgetCoordinator` arbitrates the proposals against the
    chip-wide duty budget and any active demotions, overriding the
    per-core actuators where it cuts;
-4. per-core throughput and Wattch CC3 block powers follow the
-   single-core formulas; the **thermal step is one stacked numpy
-   update** over all ``(n_cores, n_blocks)`` temperatures
+4. per-core throughput follows the single-core formulas as Python
+   float arithmetic; the Wattch CC3 block powers of all cores are **one
+   stacked expression** ``peaks * (idle + active * utilization)`` over
+   the ``(n_cores, n_blocks)`` utilization, and each core's unmonitored
+   power comes from its row sum, exactly as in
+   :func:`~repro.sim.fast.run_lanes`; the **thermal step is one stacked
+   numpy update** over all temperatures
    (:class:`~repro.multicore.thermal.MulticoreThermalModel`), including
    quasi-static core-to-core lateral coupling;
 5. emergency/stress time is accounted per core with the same
-   closed-form sub-sample accuracy as the single-core engine.
+   closed-form sub-sample accuracy as the single-core engine: one
+   :meth:`~repro.multicore.thermal.MulticoreThermalModel.fractions_above`
+   pass covers both thresholds and every core.
+
+``tests/test_multicore_reference.py`` pins this loop bit-identical to
+the original per-core body, frozen in ``tests/multicore_reference.py``.
 
 Telemetry is opt-in and purely observational: per-core DTM managers run
 without a telemetry hook (the chip emits one trace record per sample
@@ -33,6 +46,8 @@ are bit-identical to enabled ones (asserted by tests).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -53,9 +68,8 @@ from repro.multicore.coordinator import ThermalBudgetCoordinator
 from repro.multicore.floorplan import MulticoreFloorplan
 from repro.multicore.results import CoreResult, MulticoreRunResult
 from repro.multicore.thermal import MulticoreThermalModel
-from repro.power.clock_gating import ClockGatingStyle
 from repro.power.wattch import PowerModel
-from repro.sim.fast import DEFAULT_SUPPLY_EFFICIENCY
+from repro.sim.fast import DEFAULT_SUPPLY_EFFICIENCY, build_phase_tables
 from repro.telemetry.core import ensure_telemetry
 from repro.thermal.sensors import IdealSensor
 from repro.workloads.profiles import BenchmarkProfile, get_profile
@@ -74,7 +88,6 @@ class MulticoreEngine:
         thermal_config: ThermalConfig | None = None,
         dtm_config: DTMConfig | None = None,
         seed: int = 0,
-        gating: ClockGatingStyle = ClockGatingStyle.CC3,
         supply_efficiency: float = DEFAULT_SUPPLY_EFFICIENCY,
         fault_schedules: Mapping[int, FaultSchedule] | None = None,
         failsafe: FailsafeConfig | None = None,
@@ -182,7 +195,7 @@ class MulticoreEngine:
             )
             self.guards.append(guard)
 
-        self.power_model = PowerModel(core_floorplan, gating=gating)
+        self.power_model = PowerModel(core_floorplan)
         self.thermal = MulticoreThermalModel(
             self.floorplan,
             heatsink_temperature=self.thermal_config.heatsink_temperature,
@@ -212,8 +225,11 @@ class MulticoreEngine:
     def _run(
         self, instructions: float, max_cycles: int | None
     ) -> MulticoreRunResult:
-        if instructions <= 0:
-            raise SimulationError("instructions must be positive")
+        if not math.isfinite(instructions) or instructions <= 0:
+            raise SimulationError(
+                f"instructions must be a positive finite count, "
+                f"got {instructions!r}"
+            )
         n_cores = self.n_cores
         sample = self.dtm_config.sampling_interval
         sample_seconds = sample * self.machine.cycle_time
@@ -222,8 +238,10 @@ class MulticoreEngine:
                 max(0.1, profile.mean_ipc) for profile in self.profiles
             )
             max_cycles = int(40 * instructions / slowest)
-        emergency_level = self.thermal_config.emergency_temperature
-        stress_level = self.dtm_config.nonct_trigger
+        thresholds = (
+            self.thermal_config.emergency_temperature,
+            self.dtm_config.nonct_trigger,
+        )
         fetch_supply = self.machine.fetch_width * self.supply_efficiency
         coordinator = self.coordinator
 
@@ -256,6 +274,17 @@ class MulticoreEngine:
         ]
         names = self.floorplan.core.names
         block_count = len(names)
+        # Per core: (phase_total, phase_ends, activity, jitter, ipc).
+        phase_tables = [
+            (profile.total_instructions,
+             *build_phase_tables(profile, names))
+            for profile in self.profiles
+        ]
+        # Wattch CC3, stacked over cores (see repro.sim.fast.run_lanes).
+        peaks = self.power_model.peaks_view
+        idle = self.power_model.idle_fraction
+        active_frac = 1.0 - idle
+        unmonitored_peak = self.power_model.floorplan.unmonitored_peak_power
 
         committed = np.zeros(n_cores)
         total_committed = np.zeros(n_cores)
@@ -275,36 +304,44 @@ class MulticoreEngine:
         demoted_samples = np.zeros(n_cores, dtype=int)
 
         duties = np.empty(n_cores)
-        demand = np.empty(n_cores)
-        stalls = np.zeros(n_cores, dtype=int)
+        demand = [0.0] * n_cores
+        stalls = [0] * n_cores
         activities = np.empty((n_cores, block_count))
-        powers_stack = np.empty((n_cores, block_count))
+        ratio = np.empty((n_cores, 1))
         core_powers = np.empty(n_cores)
         sample_committed = np.empty(n_cores)
 
         while committed.min() < instructions and cycles < max_cycles:
             core_max = self.thermal.core_max_temperatures
+            sensed = core_max.tolist()
+            positions = total_committed.tolist()
             for core_index in range(n_cores):
-                profile = self.profiles[core_index]
-                phase = profile.phase_at(int(total_committed[core_index]))
-                activity = np.array(
-                    phase.activity_vector(names), dtype=float
+                (
+                    phase_total, phase_ends, phase_activity, phase_jitter,
+                    phase_ipc,
+                ) = phase_tables[core_index]
+                index = bisect_right(
+                    phase_ends, int(positions[core_index]) % phase_total
                 )
-                if phase.jitter:
+                jitter = phase_jitter[index]
+                row = activities[core_index]
+                if jitter:
                     rng = rngs[core_index]
-                    activity *= 1.0 + rng.normal(
-                        0.0, phase.jitter, block_count
+                    np.multiply(
+                        phase_activity[index],
+                        1.0 + rng.normal(0.0, jitter, block_count),
+                        out=row,
                     )
-                    np.clip(activity, 0.0, 1.0, out=activity)
-                    demand_ipc = phase.ipc * (
-                        1.0 + rng.normal(0.0, 0.5 * phase.jitter)
+                    np.clip(row, 0.0, 1.0, out=row)
+                    demand_ipc = phase_ipc[index] * (
+                        1.0 + rng.normal(0.0, 0.5 * jitter)
                     )
                 else:
-                    demand_ipc = phase.ipc
+                    row[...] = phase_activity[index]
+                    demand_ipc = phase_ipc[index]
                 demand[core_index] = max(0.05, demand_ipc)
-                activities[core_index] = activity
                 duty, stall = self.managers[core_index].on_sample(
-                    float(core_max[core_index])
+                    sensed[core_index]
                 )
                 duties[core_index] = duty
                 stalls[core_index] = stall
@@ -320,28 +357,27 @@ class MulticoreEngine:
                     coordinator.demoted, dtype=int
                 )
 
-            for core_index in range(n_cores):
-                supply_ipc = duties[core_index] * fetch_supply
-                effective_ipc = min(demand[core_index], supply_ipc)
-                ratio = effective_ipc / demand[core_index]
-                utilization = activities[core_index] * ratio
-                powers = self.power_model.block_powers(utilization)
-                powers_stack[core_index] = powers
-                core_powers[core_index] = float(
-                    powers.sum()
-                ) + self.power_model.unmonitored_power(
-                    float(utilization.mean())
-                )
+            for core_index, duty in enumerate(duties.tolist()):
+                core_demand = demand[core_index]
+                effective_ipc = min(core_demand, duty * fetch_supply)
+                ratio[core_index, 0] = effective_ipc / core_demand
                 sample_committed[core_index] = effective_ipc * max(
                     0, sample - stalls[core_index]
                 )
 
+            utilization = np.multiply(activities, ratio, out=activities)
+            powers = peaks * (idle + active_frac * utilization)
+            utilization_sums = utilization.sum(axis=1).tolist()
+            for core_index, power in enumerate(powers.sum(axis=1).tolist()):
+                core_powers[core_index] = power + unmonitored_peak * (
+                    idle
+                    + active_frac
+                    * (utilization_sums[core_index] / block_count)
+                )
             chip_power = float(core_powers.sum())
-            start, steady, end = self.thermal.sample_update(
-                powers_stack, sample
-            )
+            start, steady, end = self.thermal.sample_update(powers, sample)
 
-            if not np.isfinite(chip_power) or not np.all(np.isfinite(end)):
+            if not (math.isfinite(chip_power) and np.isfinite(end).all()):
                 finite = np.isfinite(end)
                 if not np.all(finite):
                     bad_core, bad_block = np.unravel_index(
@@ -361,14 +397,10 @@ class MulticoreEngine:
                     policy=self.policy_label,
                 )
 
-            em_frac = self.thermal.fraction_above(
-                start, steady, sample_seconds, emergency_level
-            )
-            st_frac = self.thermal.fraction_above(
-                start, steady, sample_seconds, stress_level
-            )
-            em_core = em_frac.max(axis=1)
-            st_core = st_frac.max(axis=1)
+            # One pass over both thresholds: emergency row 0, stress 1.
+            em_core, st_core = self.thermal.fractions_above(
+                start, steady, sample_seconds, thresholds
+            ).max(axis=2)
 
             total_committed += sample_committed
             committed += sample_committed

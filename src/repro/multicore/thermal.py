@@ -32,6 +32,7 @@ import numpy as np
 from repro import units
 from repro.errors import ThermalModelError
 from repro.multicore.floorplan import MulticoreFloorplan
+from repro.thermal.lumped import fractions_above
 
 
 class MulticoreThermalModel:
@@ -200,7 +201,7 @@ class MulticoreThermalModel:
 
         The engine needs the interval's start temperatures and the
         steady target the interval headed toward for the closed-form
-        emergency accounting (:meth:`fraction_above`); computing the
+        emergency accounting (:meth:`fractions_above`); computing the
         effective powers once here keeps the three views consistent.
         """
         if cycles <= 0:
@@ -217,7 +218,7 @@ class MulticoreThermalModel:
         """Quasi-static steady target for the *current* lateral flows.
 
         This is the target the next constant-power interval relaxes
-        toward (the quantity :meth:`fraction_above` needs), not the
+        toward (the quantity :meth:`fractions_above` needs), not the
         true coupled equilibrium -- see :meth:`equilibrium` for that.
         At zero coupling the two coincide with the single-core formula
         ``T_sink + P * R`` exactly.
@@ -282,31 +283,34 @@ class MulticoreThermalModel:
     ) -> np.ndarray:
         """Per-core, per-block fraction of an interval above ``threshold``.
 
-        The stacked form of
-        :meth:`~repro.thermal.lumped.LumpedThermalModel.fraction_above`:
-        each block moves exponentially and monotonically from ``start``
-        toward ``steady``, so the crossing time (if any) is
-        ``t* = tau * ln((steady - start) / (steady - threshold))``.
-        Shapes are ``(n_cores, n_blocks)``; ``tau`` broadcasts over the
-        core axis.
+        The one-threshold case of :meth:`fractions_above`, exactly as
+        :meth:`~repro.thermal.lumped.LumpedThermalModel.fraction_above`
+        is of its own ``fractions_above``.
         """
-        start = np.asarray(start, dtype=float)
-        steady = np.asarray(steady, dtype=float)
-        if duration_seconds <= 0:
-            return (start > threshold).astype(float)
-        tau = self._tau
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (steady - start) / (steady - threshold)
-            cross = tau * np.log(np.where(ratio > 0, ratio, 1.0))
-        cross = np.clip(np.nan_to_num(cross, nan=0.0), 0.0, duration_seconds)
-        rising = steady > start
-        start_above = start > threshold
-        steady_above = steady > threshold
-        steady_below = steady < threshold
-        fraction = np.zeros_like(start)
-        crosses_up = rising & ~start_above & steady_above
-        fraction[crosses_up] = 1.0 - cross[crosses_up] / duration_seconds
-        crosses_down = ~rising & start_above & steady_below
-        fraction[crosses_down] = cross[crosses_down] / duration_seconds
-        fraction[start_above & ~steady_below] = 1.0
-        return fraction
+        return self.fractions_above(
+            start, steady, duration_seconds, (threshold,)
+        )[0]
+
+    def fractions_above(
+        self,
+        start: np.ndarray,
+        steady: np.ndarray,
+        duration_seconds: float,
+        thresholds,
+    ) -> np.ndarray:
+        """Above-threshold fractions for several thresholds in one pass.
+
+        ``start``/``steady`` have shape ``(n_cores, n_blocks)``; the
+        result has shape ``(len(thresholds), n_cores, n_blocks)``.  Each
+        block moves exponentially and monotonically from ``start``
+        toward ``steady``, so the crossing time (if any) is
+        ``t* = tau * ln((steady - start) / (steady - threshold))`` with
+        ``tau`` broadcast over the core axis.  This is the single-core
+        kernel (:func:`repro.thermal.lumped.fractions_above`) itself, so
+        each core row is bit-identical to
+        :meth:`~repro.thermal.lumped.LumpedThermalModel.fractions_above`
+        on that row (asserted by a property test).
+        """
+        return fractions_above(
+            self._tau, start, steady, duration_seconds, thresholds
+        )

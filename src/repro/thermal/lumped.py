@@ -376,51 +376,9 @@ class LumpedThermalModel:
         the same reason as the threshold axis: pure elementwise
         broadcasting.
         """
-        start = np.asarray(start, dtype=float)
-        steady = np.asarray(steady, dtype=float)
-        thr = np.asarray(thresholds, dtype=float).reshape(
-            (-1,) + (1,) * start.ndim
+        return fractions_above(
+            self._tau, start, steady, duration_seconds, thresholds
         )
-        if duration_seconds <= 0:
-            # Zero-duration limit: the fraction degenerates to the
-            # instantaneous indicator "strictly above threshold now".
-            return (start > thr).astype(float)
-        tau = self._tau
-        # Crossing time t* = tau * ln((steady - start) / (steady - thr)).
-        # The denominator is zero only where ``steady == thr`` exactly;
-        # those lanes are provably excluded from both crossing masks
-        # below (they are neither strictly above nor strictly below the
-        # threshold), so the division is made warning-free by
-        # substituting a harmless denominator instead of wrapping the
-        # whole pass in an ``np.errstate`` context (measurably costly
-        # per sample).  Every lane that *is* consumed evaluates the
-        # exact same expression as before -- bit-identity is asserted
-        # by a property test against the scalar kernel's history.
-        denominator = steady - thr
-        ratio = (steady - start) / np.where(
-            denominator != 0.0, denominator, 1.0
-        )
-        cross = tau * np.log(np.where(ratio > 0, ratio, 1.0))
-        cross.clip(0.0, duration_seconds, out=cross)
-        scaled = cross / duration_seconds
-        rising = steady > start
-        start_above = start > thr
-        steady_above = steady > thr
-        steady_below = steady < thr
-        # Rising toward a steady state strictly above threshold,
-        # starting below: crosses upward at t*.  Falling from above
-        # threshold toward a steady state strictly below it: crosses
-        # downward at t*.  Started above and heading to (or
-        # asymptotically toward) a steady state at or above the
-        # threshold: never drops below.  The three masks are pairwise
-        # disjoint, so ``where`` composition order is irrelevant;
-        # remaining lanes never exceed the threshold and stay zero.
-        fraction = np.where(rising & ~start_above & steady_above,
-                            1.0 - scaled, 0.0)
-        fraction = np.where(~rising & start_above & steady_below,
-                            scaled, fraction)
-        fraction = np.where(start_above & ~steady_below, 1.0, fraction)
-        return fraction
 
     def time_to_temperature(
         self, name: str, power: float, target: float
@@ -439,3 +397,64 @@ class LumpedThermalModel:
         if ratio <= 0:
             return float("inf")
         return float(-self._tau[index] * np.log(ratio))
+
+
+def fractions_above(
+    tau: np.ndarray,
+    start: np.ndarray,
+    steady: np.ndarray,
+    duration_seconds: float,
+    thresholds,
+) -> np.ndarray:
+    """The crossing-time kernel behind every ``fractions_above``.
+
+    :meth:`LumpedThermalModel.fractions_above` and
+    :meth:`repro.multicore.thermal.MulticoreThermalModel.fractions_above`
+    are this function over their own per-block ``tau``, which
+    broadcasts over any leading lane or core axes of ``start`` and
+    ``steady``.  Returns shape ``(len(thresholds), *start.shape)``.
+    """
+    start = np.asarray(start, dtype=float)
+    steady = np.asarray(steady, dtype=float)
+    thr = np.asarray(thresholds, dtype=float).reshape(
+        (-1,) + (1,) * start.ndim
+    )
+    if duration_seconds <= 0:
+        # Zero-duration limit: the fraction degenerates to the
+        # instantaneous indicator "strictly above threshold now".
+        return (start > thr).astype(float)
+    # Crossing time t* = tau * ln((steady - start) / (steady - thr)).
+    # The denominator is zero only where ``steady == thr`` exactly;
+    # those lanes are provably excluded from both crossing masks
+    # below (they are neither strictly above nor strictly below the
+    # threshold), so the division is made warning-free by
+    # substituting a harmless denominator instead of wrapping the
+    # whole pass in an ``np.errstate`` context (measurably costly
+    # per sample).  Every lane that *is* consumed evaluates the
+    # exact same expression as before -- bit-identity is asserted
+    # by a property test against the scalar kernel's history.
+    denominator = steady - thr
+    ratio = (steady - start) / np.where(
+        denominator != 0.0, denominator, 1.0
+    )
+    cross = tau * np.log(np.where(ratio > 0, ratio, 1.0))
+    cross.clip(0.0, duration_seconds, out=cross)
+    scaled = cross / duration_seconds
+    rising = steady > start
+    start_above = start > thr
+    steady_above = steady > thr
+    steady_below = steady < thr
+    # Rising toward a steady state strictly above threshold,
+    # starting below: crosses upward at t*.  Falling from above
+    # threshold toward a steady state strictly below it: crosses
+    # downward at t*.  Started above and heading to (or
+    # asymptotically toward) a steady state at or above the
+    # threshold: never drops below.  The three masks are pairwise
+    # disjoint, so ``where`` composition order is irrelevant;
+    # remaining lanes never exceed the threshold and stay zero.
+    fraction = np.where(rising & ~start_above & steady_above,
+                        1.0 - scaled, 0.0)
+    fraction = np.where(~rising & start_above & steady_below,
+                        scaled, fraction)
+    fraction = np.where(start_above & ~steady_below, 1.0, fraction)
+    return fraction

@@ -114,6 +114,17 @@ class TestRun:
         with pytest.raises(SimulationError):
             engine.run(instructions=0)
 
+    @pytest.mark.parametrize(
+        "instructions", [float("nan"), float("inf"), 0, -1]
+    )
+    def test_non_finite_or_non_positive_budget_is_typed(self, instructions):
+        engine = MulticoreEngine(("gcc", "gzip"))
+        with pytest.raises(
+            SimulationError, match="positive finite count"
+        ):
+            engine.run(instructions=instructions)
+        assert engine.managers[0].samples == 0  # rejected before a step
+
 
 class TestCoordinatedRun:
     def test_coordinator_stats_in_extra(self):

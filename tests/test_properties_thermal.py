@@ -221,3 +221,47 @@ class TestMulticoreZeroCouplingProperties:
             start0[0], steady0[0], 1000 / 1.5e9, 101.0
         )
         assert np.array_equal(frac_stack[0], frac_single)
+
+    @given(
+        n_cores=st.integers(1, 8),
+        coupling=st.sampled_from((0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+        cycles=st.integers(1, 200_000),
+        thresholds=st.lists(
+            st.floats(min_value=95.0, max_value=125.0, allow_nan=False),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fractions_above_rows_match_single_core(
+        self, n_cores, coupling, seed, cycles, thresholds
+    ):
+        """Each core row of the stacked pass is the single-core pass."""
+        from repro.multicore.floorplan import MulticoreFloorplan
+        from repro.multicore.thermal import MulticoreThermalModel
+
+        tiling = MulticoreFloorplan.tile(
+            n_cores=n_cores, coupling_scale=coupling
+        )
+        stacked = MulticoreThermalModel(tiling)
+        single = LumpedThermalModel(tiling.core)
+        rng = np.random.default_rng(seed)
+        stacked._temps = rng.uniform(95.0, 125.0, size=stacked.shape)
+        powers = rng.uniform(0.0, 25.0, size=stacked.shape)
+        start, steady, _ = stacked.sample_update(powers, cycles)
+        duration = cycles * stacked.cycle_time
+        frac_stack = stacked.fractions_above(
+            start, steady, duration, thresholds
+        )
+        assert frac_stack.shape == (len(thresholds), *stacked.shape)
+        for core in range(n_cores):
+            frac_single = single.fractions_above(
+                start[core], steady[core], duration, thresholds
+            )
+            assert np.array_equal(frac_stack[:, core], frac_single)
+        for k, threshold in enumerate(thresholds):
+            assert np.array_equal(
+                stacked.fraction_above(start, steady, duration, threshold),
+                frac_stack[k],
+            )
