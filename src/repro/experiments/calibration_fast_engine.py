@@ -69,7 +69,8 @@ def run(
     )
     rows = []
     for duty in duties:
-        measured = _detailed_ipc(
+        # Full duty is the baseline run itself: same seed, same budgets.
+        measured = base_ipc if duty == 1.0 else _detailed_ipc(
             benchmark, duty, cycles_per_point, warmup_cycles=warmup_cycles
         )
         supply = duty * machine.fetch_width * DEFAULT_SUPPLY_EFFICIENCY

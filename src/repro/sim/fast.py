@@ -29,7 +29,7 @@ that recurrence with one row per run.  :meth:`FastEngine.run` is the
 one-lane case; :class:`repro.sim.batch.BatchEngine` is the B-lane case.
 ``tests/test_sim_reference.py`` pins the kernel bit-identical to the
 original serial body, frozen as
-:class:`repro.sim.reference.ReferenceFastEngine`.
+``ReferenceFastEngine`` in ``tests/fast_reference.py``.
 
 ``supply_efficiency`` is calibrated against the detailed core
 (experiment C1).

@@ -419,42 +419,43 @@ def fractions_above(
     thr = np.asarray(thresholds, dtype=float).reshape(
         (-1,) + (1,) * start.ndim
     )
+    start_above = start > thr
     if duration_seconds <= 0:
         # Zero-duration limit: the fraction degenerates to the
         # instantaneous indicator "strictly above threshold now".
-        return (start > thr).astype(float)
-    # Crossing time t* = tau * ln((steady - start) / (steady - thr)).
-    # The denominator is zero only where ``steady == thr`` exactly;
-    # those lanes are provably excluded from both crossing masks
-    # below (they are neither strictly above nor strictly below the
-    # threshold), so the division is made warning-free by
-    # substituting a harmless denominator instead of wrapping the
-    # whole pass in an ``np.errstate`` context (measurably costly
-    # per sample).  Every lane that *is* consumed evaluates the
-    # exact same expression as before -- bit-identity is asserted
-    # by a property test against the scalar kernel's history.
-    denominator = steady - thr
-    ratio = (steady - start) / np.where(
-        denominator != 0.0, denominator, 1.0
-    )
+        return start_above.astype(float)
+    # Classify every cell before any arithmetic.  The trajectory is
+    # monotonic, so a cell either crosses the threshold once or sits
+    # on one side of it for the whole interval:
+    # * ``up``: rising from at or below the threshold toward a steady
+    #   state strictly above it -- above for the tail after t*;
+    # * ``down``: falling from above toward a steady state strictly
+    #   below -- above for the head before t*;
+    # * started above and heading to (or asymptotically toward) a
+    #   steady state at or above the threshold -- above throughout;
+    # * everything else never exceeds the threshold.
+    # The classes are pairwise disjoint.  ``rising`` is redundant for
+    # finite input but keeps a NaN ``start`` out of ``up``.
+    steady_below = steady < thr
+    rising = steady > start
+    up = rising & ~start_above & (steady > thr)
+    down = ~rising & start_above & steady_below
+    fraction = (start_above & ~steady_below).astype(float)
+    crossing = up | down
+    # ``count_nonzero`` is the cheapest "any" on a small bool array.
+    if not np.count_nonzero(crossing):
+        # Most calls: no block crosses either threshold, so the exact
+        # 0/1 answer is already complete.
+        return fraction
+    # Crossing time t* = tau * ln((steady - start) / (steady - thr)),
+    # evaluated only where a cell crosses.  There ``steady != thr``,
+    # so the masked division never divides by zero; the ``ratio > 0``
+    # guard still maps an inf/inf NaN ratio to t* = 0.
+    ratio = np.divide(steady - start, steady - thr,
+                      out=np.ones_like(fraction), where=crossing)
     cross = tau * np.log(np.where(ratio > 0, ratio, 1.0))
     cross.clip(0.0, duration_seconds, out=cross)
-    scaled = cross / duration_seconds
-    rising = steady > start
-    start_above = start > thr
-    steady_above = steady > thr
-    steady_below = steady < thr
-    # Rising toward a steady state strictly above threshold,
-    # starting below: crosses upward at t*.  Falling from above
-    # threshold toward a steady state strictly below it: crosses
-    # downward at t*.  Started above and heading to (or
-    # asymptotically toward) a steady state at or above the
-    # threshold: never drops below.  The three masks are pairwise
-    # disjoint, so ``where`` composition order is irrelevant;
-    # remaining lanes never exceed the threshold and stay zero.
-    fraction = np.where(rising & ~start_above & steady_above,
-                        1.0 - scaled, 0.0)
-    fraction = np.where(~rising & start_above & steady_below,
-                        scaled, fraction)
-    fraction = np.where(start_above & ~steady_below, 1.0, fraction)
+    scaled = np.divide(cross, duration_seconds, out=cross)
+    np.subtract(1.0, scaled, out=fraction, where=up)
+    np.copyto(fraction, scaled, where=down)
     return fraction

@@ -16,6 +16,7 @@ from repro.experiments import (
     table1_duality,
     table2_config,
     table3_rc,
+    validation_grid_convergence,
 )
 from repro.experiments.reporting import ExperimentResult, ascii_chart, format_table
 from repro.errors import ExperimentError
@@ -133,3 +134,12 @@ class TestDynamicExperiments:
         assert result.extras["worst_error"] < 0.35
         for row in result.rows:
             assert 0.0 < row["detailed_relative"] <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_grid_convergence_caption_matches_rows(self, quick):
+        # The V3 caption says the mesh shift falls at every refinement.
+        result = validation_grid_convergence.run(quick=quick)
+        assert "'vs prev grid' falls monotonically" in result.notes
+        shifts = [row["vs_prev_k"] for row in result.rows[1:]]
+        assert len(shifts) >= 2
+        assert all(b < a for a, b in zip(shifts, shifts[1:])), shifts

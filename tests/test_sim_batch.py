@@ -56,11 +56,11 @@ from repro.sim.parallel import (
     set_default_batch,
 )
 from repro.sim.fast import FastEngine
-from repro.sim.reference import ReferenceFastEngine
 from repro.sim.sweep import build_engine, run_suite
 from repro.telemetry.core import Telemetry
 from repro.thermal.floorplan import Floorplan
 from repro.workloads.profiles import get_profile
+from tests.fast_reference import ReferenceFastEngine
 from tests.test_sim_parallel import (
     INSTRUCTIONS,
     assert_metrics_match,

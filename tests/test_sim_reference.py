@@ -6,7 +6,7 @@ phase activity arrays, no-copy state views, the fused
 ``fractions_above`` pass, preallocated history buffers) must be a pure
 strength reduction.  These tests assert *exact* float equality -- not
 approximate closeness -- between the fused engine and
-:class:`repro.sim.reference.ReferenceFastEngine`, which pins the
+:class:`tests.fast_reference.ReferenceFastEngine`, which pins the
 original per-sample body verbatim.
 
 The one intentional difference is also locked down here: the reference
@@ -25,11 +25,11 @@ from repro.dtm.policies import make_policy
 from repro.errors import SimulationError
 from repro.power.leakage import LeakageModel
 from repro.sim.fast import FastEngine
-from repro.sim.reference import ReferenceFastEngine
 from repro.telemetry.core import Telemetry
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.lumped import LumpedThermalModel
 from repro.workloads.profiles import get_profile
+from tests.fast_reference import ReferenceFastEngine
 
 SCALAR_FIELDS = (
     "benchmark",
