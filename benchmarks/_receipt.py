@@ -19,10 +19,11 @@ receipt are preserved -- the merge only touches ``generated`` and the
 section being reported.
 
 Each section carries its own ``_meta`` stamp (measurement time, the
-machine's ``cpu_count``, the git revision at measurement time): the
-receipt accumulates sections across separate CI jobs and machines, so
-a single top-level stamp silently misattributed every earlier
-section's provenance to whichever bench ran last.
+machine's ``cpu_count``, the git revision at measurement time, and
+whether tracked files differed from that revision): the receipt
+accumulates sections across separate CI jobs and machines, so a single
+top-level stamp silently misattributed every earlier section's
+provenance to whichever bench ran last.
 """
 
 from __future__ import annotations
@@ -66,6 +67,39 @@ def _git_revision() -> str | None:
     return revision if proc.returncode == 0 and revision else None
 
 
+def _git_dirty(receipt: str) -> bool | None:
+    """Whether tracked files differ from ``HEAD`` (``None`` outside git).
+
+    ``git_revision`` names ``HEAD``, so a section measured before its
+    change is committed names the parent commit; this flag says so.
+    The receipt itself is left out, because every section written to
+    it makes it differ from ``HEAD``.
+    """
+    here = os.path.dirname(os.path.abspath(__file__))
+    try:
+        proc = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=here,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if proc.returncode != 0:
+        return None
+    # Porcelain paths are relative to the checkout root, which holds
+    # this file's ``benchmarks/`` directory; a rename reads "old -> new".
+    top = os.path.dirname(here)
+    receipt = os.path.abspath(receipt)
+    changed = [
+        line[3:].split(" -> ")[-1]
+        for line in proc.stdout.splitlines()
+        if line.strip()
+    ]
+    return any(os.path.join(top, name) != receipt for name in changed)
+
+
 def _load(path: str) -> dict:
     """Current receipt contents, or ``{}`` when absent or torn."""
     try:
@@ -87,7 +121,8 @@ def update_receipt(section: str, payload: dict, path: str | None = None) -> None
     survive the merge untouched.
 
     The reported section gains a ``_meta`` sub-dict recording *its own*
-    measurement time, ``cpu_count``, and git revision; earlier
+    measurement time, ``cpu_count``, git revision and ``git_dirty``
+    flag (see :func:`_git_dirty`); earlier
     sections' ``_meta`` stamps are untouched, so a receipt merged
     across CI jobs attributes every number to the machine and revision
     that actually produced it.  The legacy top-level ``cpu_count``
@@ -110,6 +145,7 @@ def update_receipt(section: str, payload: dict, path: str | None = None) -> None
             "measured": data["generated"],
             "cpu_count": os.cpu_count(),
             "git_revision": _git_revision(),
+            "git_dirty": _git_dirty(path),
         }
         fd, temp_path = tempfile.mkstemp(
             prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory

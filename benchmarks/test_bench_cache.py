@@ -1,13 +1,12 @@
 """Performance guard for the result cache, with a JSON receipt.
 
-The guarded claim (ISSUE acceptance criterion; see
-docs/performance.md, "Level 5"): a *warm* sweep -- every spec
-replayed from a freshly written :class:`repro.sim.cache.ResultCache`
--- must complete at least ``CACHE_FLOOR`` (5.0x) faster than the
-*cold* sweep that populated the store, while producing exactly the
-cold sweep's results.  Both sides run single-process in this process;
-the speedup is skipped work, not parallelism, so the guard is safe on
-single-CPU runners.
+The guarded claim (see docs/performance.md, "Level 4"): a *warm*
+sweep -- every spec replayed from a freshly written
+:class:`repro.sim.cache.ResultCache` -- must complete at least
+``CACHE_FLOOR`` (5.0x) faster than the *cold* sweep that populated the
+store, while producing exactly the cold sweep's results.  Both sides
+run single-process in this process; the speedup is skipped work, not
+parallelism, so the guard is safe on single-CPU runners.
 
 The measurement appends a ``cache`` section to ``BENCH_sweep.json``
 (override with ``BENCH_SWEEP_OUT``), extending the shared receipt the

@@ -285,36 +285,6 @@ def _sweep_options(args):
     )
 
 
-def _install_signal_handlers() -> None:
-    """Convert SIGTERM into KeyboardInterrupt for clean shutdown.
-
-    The coordinator and worker loops both handle KeyboardInterrupt by
-    flushing the checkpoint journal and closing their sockets, so a
-    ``kill``/``systemctl stop`` gets the same orderly teardown as
-    Ctrl-C.  Signal handlers only install from the main thread (the
-    interpreter forbids anything else; CLI tests drive these commands
-    from worker threads).
-    """
-    import signal
-    import threading
-
-    if threading.current_thread() is not threading.main_thread():
-        return
-
-    def _handler(signum, frame):
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _handler)
-
-
-def _cluster_config(endpoint: str, token, allow_ephemeral: bool = False):
-    """Validated :class:`ClusterConfig` from ``--cluster``/``--bind`` flags."""
-    from repro.sim.distributed import ClusterConfig, parse_endpoint
-
-    host, port = parse_endpoint(endpoint, allow_ephemeral=allow_ephemeral)
-    return ClusterConfig(host, port, token if token is not None else "")
-
-
 def _compare_specs(args):
     from repro.sim.parallel import matrix_specs
 
@@ -357,17 +327,9 @@ def _print_compare_table(args, results, failures) -> int:
 
 
 def cmd_compare(args) -> int:
-    from repro.errors import CacheError, ConfigError, ShardError, SweepError
+    from repro.errors import CacheError, SweepError
     from repro.sim.parallel import run_outcomes, run_specs
 
-    cluster = None
-    if getattr(args, "cluster", None):
-        try:
-            cluster = _cluster_config(args.cluster, args.token)
-        except ConfigError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        _install_signal_handlers()
     try:
         cache = _cache_store(args)
     except CacheError as error:
@@ -376,7 +338,7 @@ def cmd_compare(args) -> int:
     specs = _compare_specs(args)
     options = _sweep_options(args)
     failures: dict[int, object] = {}
-    if options is None and cluster is None:
+    if options is None:
         results = run_specs(
             specs, jobs=args.jobs, batch=args.batch, cache=cache
         )
@@ -387,10 +349,9 @@ def cmd_compare(args) -> int:
                 jobs=args.jobs,
                 options=options,
                 batch=args.batch,
-                cluster=cluster,
                 cache=cache,
             )
-        except (SweepError, ShardError) as error:
+        except SweepError as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
         results = [outcome.result for outcome in outcomes]
@@ -402,97 +363,6 @@ def cmd_compare(args) -> int:
     return _print_compare_table(args, results, failures)
 
 
-def cmd_serve(args) -> int:
-    """Coordinate a distributed compare sweep (``serve-sweep``)."""
-    from repro.errors import CacheError, ConfigError, ShardError, SweepError
-    from repro.sim.distributed import ShardCoordinator
-
-    try:
-        cluster = _cluster_config(
-            args.bind, args.token, allow_ephemeral=True
-        )
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
-        cache = _cache_store(args)
-    except CacheError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    _install_signal_handlers()
-    specs = _compare_specs(args)
-    coordinator = ShardCoordinator(
-        specs, cluster, options=_sweep_options(args), cache=cache
-    )
-    try:
-        coordinator.start()
-        print(
-            f"serving {len(specs)} specs on "
-            f"{cluster.host}:{coordinator.port} "
-            f"(connect workers with: python -m repro work "
-            f"--connect {cluster.host}:{coordinator.port} --token ...)",
-            flush=True,
-        )
-        outcomes = coordinator.wait()
-    except KeyboardInterrupt:
-        stats = coordinator.stats()
-        print(
-            f"interrupted: {stats['settled']} of {stats['total']} specs "
-            f"settled; the checkpoint journal (if any) holds them for "
-            f"--resume",
-            file=sys.stderr,
-        )
-        return 130
-    except SweepError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except ShardError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    results = [outcome.result for outcome in outcomes]
-    failures = {
-        outcome.index: outcome.error
-        for outcome in outcomes
-        if outcome.error is not None
-    }
-    return _print_compare_table(args, results, failures)
-
-
-def cmd_work(args) -> int:
-    """Serve a shard coordinator as a worker (``work``)."""
-    from repro.errors import ConfigError, ShardError
-    from repro.sim.distributed import run_worker
-
-    try:
-        cluster = _cluster_config(args.connect, args.token)
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.idle_timeout is not None and args.idle_timeout < 0:
-        print("error: --idle-timeout must be >= 0", file=sys.stderr)
-        return 2
-    _install_signal_handlers()
-    try:
-        stats = run_worker(
-            cluster,
-            jobs=args.jobs,
-            batch=args.batch,
-            once=args.once,
-            idle_timeout=args.idle_timeout,
-        )
-    except KeyboardInterrupt:
-        print("worker interrupted; connection closed", file=sys.stderr)
-        return 130
-    except ShardError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    print(
-        f"worker done: {stats['executed']} spec(s) executed across "
-        f"{stats['sweeps']} sweep(s), {stats['failures']} failure(s)"
-    )
-    return 0
-
-
 def _cache_store(args):
     """The result-cache handle requested by ``--cache``/``--no-cache``.
 
@@ -502,9 +372,9 @@ def _cache_store(args):
     :func:`~repro.sim.parallel.resolve_cache` downstream.  Raises
     :class:`~repro.errors.CacheError` for an unusable directory.
     """
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return False
-    if getattr(args, "cache", None) is None:
+    if args.cache is None:
         return None
     from repro.sim.cache import ResultCache
 
@@ -678,75 +548,18 @@ def main(argv: list[str] | None = None) -> int:
         help="emergency threshold for episode detection",
     )
 
-    def add_matrix_args(target) -> None:
-        target.add_argument("benchmark")
-        target.add_argument(
-            "--policies", nargs="+", default=["toggle1", "m", "pid"],
-            choices=[p for p in POLICY_NAMES if p != "none"],
-        )
-        target.add_argument(
-            "--instructions", type=float, default=2_000_000
-        )
-        target.add_argument("--seed", type=int, default=0)
-
-    def add_resilience_args(target) -> None:
-        resilience = target.add_argument_group(
-            "fault tolerance (see docs/robustness.md)"
-        )
-        resilience.add_argument(
-            "--retries", type=int, default=0, metavar="N",
-            help="re-run a failed/crashed/timed-out spec up to N times",
-        )
-        resilience.add_argument(
-            "--retry-backoff", type=float, default=0.0, metavar="SECONDS",
-            help="deterministic backoff before the first retry "
-            "(doubles per further retry)",
-        )
-        resilience.add_argument(
-            "--timeout", type=float, default=None, metavar="SECONDS",
-            help="per-spec wall-clock timeout; a hung worker is "
-            "terminated and the spec charged one attempt",
-        )
-        resilience.add_argument(
-            "--checkpoint", default=None, metavar="PATH",
-            help="append each completed spec to a crash-safe JSONL "
-            "journal",
-        )
-        resilience.add_argument(
-            "--resume", action="store_true",
-            help="skip specs already completed in the --checkpoint "
-            "journal (results bit-identical to an uninterrupted sweep)",
-        )
-        resilience.add_argument(
-            "--strict", action="store_true",
-            help="raise one aggregated error at the end if any spec "
-            "failed permanently (default: print FAILED rows, exit 2)",
-        )
-
-    def add_cache_args(target) -> None:
-        from repro.sim.cache import DEFAULT_CACHE_DIR
-
-        caching = target.add_argument_group(
-            "result caching (see docs/performance.md, Level 5)"
-        )
-        caching.add_argument(
-            "--cache", nargs="?", const=DEFAULT_CACHE_DIR, default=None,
-            metavar="DIR",
-            help="replay previously completed specs from the persistent "
-            f"result cache in DIR (default {DEFAULT_CACHE_DIR}) and "
-            "store fresh ones; warm results and telemetry are "
-            "bit-identical to a cold sweep",
-        )
-        caching.add_argument(
-            "--no-cache", action="store_true",
-            help="disable the result cache even when REPRO_CACHE or a "
-            "process-wide default is set",
-        )
-
     compare_parser = sub.add_parser(
         "compare", help="compare several policies on one benchmark"
     )
-    add_matrix_args(compare_parser)
+    compare_parser.add_argument("benchmark")
+    compare_parser.add_argument(
+        "--policies", nargs="+", default=["toggle1", "m", "pid"],
+        choices=[p for p in POLICY_NAMES if p != "none"],
+    )
+    compare_parser.add_argument(
+        "--instructions", type=float, default=2_000_000
+    )
+    compare_parser.add_argument("--seed", type=int, default=0)
     compare_parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for the policy matrix (0 = all cores; "
@@ -758,38 +571,55 @@ def main(argv: list[str] | None = None) -> int:
         "one vectorized kernel (composes with --jobs; results are "
         "bit-identical to --batch 1)",
     )
-    add_resilience_args(compare_parser)
-    add_cache_args(compare_parser)
-    distributed = compare_parser.add_argument_group(
-        "distributed sharding (see docs/performance.md, Level 4)"
+    resilience = compare_parser.add_argument_group(
+        "fault tolerance (see docs/robustness.md)"
     )
-    distributed.add_argument(
-        "--cluster", default=None, metavar="HOST:PORT",
-        help="coordinate the sweep for distributed workers bound to "
-        "this endpoint instead of executing locally (results are "
-        "bit-identical; requires --token)",
+    resilience.add_argument(
+        "--retries", type=int, default=0, metavar="N",
+        help="re-run a failed/crashed/timed-out spec up to N times",
     )
-    distributed.add_argument(
-        "--token", default=None, metavar="SECRET",
-        help="shared worker-authentication token for --cluster",
+    resilience.add_argument(
+        "--retry-backoff", type=float, default=0.0, metavar="SECONDS",
+        help="deterministic backoff before the first retry "
+        "(doubles per further retry)",
     )
+    resilience.add_argument(
+        "--timeout", type=float, default=None, metavar="SECONDS",
+        help="per-spec wall-clock timeout; a hung worker is "
+        "terminated and the spec charged one attempt",
+    )
+    resilience.add_argument(
+        "--checkpoint", default=None, metavar="PATH",
+        help="append each completed spec to a crash-safe JSONL journal",
+    )
+    resilience.add_argument(
+        "--resume", action="store_true",
+        help="skip specs already completed in the --checkpoint "
+        "journal (results bit-identical to an uninterrupted sweep)",
+    )
+    resilience.add_argument(
+        "--strict", action="store_true",
+        help="raise one aggregated error at the end if any spec "
+        "failed permanently (default: print FAILED rows, exit 2)",
+    )
+    from repro.sim.cache import DEFAULT_CACHE_DIR
 
-    serve_parser = sub.add_parser(
-        "serve-sweep",
-        help="coordinate a distributed compare sweep for remote workers",
+    caching = compare_parser.add_argument_group(
+        "result caching (see docs/performance.md, Level 4)"
     )
-    add_matrix_args(serve_parser)
-    serve_parser.add_argument(
-        "--bind", required=True, metavar="HOST:PORT",
-        help="endpoint to listen on (port 0 picks a free port, printed "
-        "on startup)",
+    caching.add_argument(
+        "--cache", nargs="?", const=DEFAULT_CACHE_DIR, default=None,
+        metavar="DIR",
+        help="replay previously completed specs from the persistent "
+        f"result cache in DIR (default {DEFAULT_CACHE_DIR}) and "
+        "store fresh ones; warm results and telemetry are "
+        "bit-identical to a cold sweep",
     )
-    serve_parser.add_argument(
-        "--token", required=True, metavar="SECRET",
-        help="shared token workers must present to authenticate",
+    caching.add_argument(
+        "--no-cache", action="store_true",
+        help="disable the result cache even when REPRO_CACHE or a "
+        "process-wide default is set",
     )
-    add_resilience_args(serve_parser)
-    add_cache_args(serve_parser)
 
     cache_parser = sub.add_parser(
         "cache",
@@ -812,52 +642,17 @@ def main(argv: list[str] | None = None) -> int:
         "REPRO_CACHE_MAX_BYTES, else 256 MiB)",
     )
 
-    work_parser = sub.add_parser(
-        "work", help="execute sweep specs leased from a coordinator"
-    )
-    work_parser.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="the coordinator endpoint (serve-sweep or compare "
-        "--cluster)",
-    )
-    work_parser.add_argument(
-        "--token", required=True, metavar="SECRET",
-        help="shared authentication token",
-    )
-    work_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="local worker processes per lease batch (0 = all cores)",
-    )
-    work_parser.add_argument(
-        "--batch", type=int, default=1, metavar="B",
-        help="local lane-batch width (composes with --jobs)",
-    )
-    work_parser.add_argument(
-        "--once", action="store_true",
-        help="exit after the first completed sweep instead of "
-        "reconnecting for the next one",
-    )
-    work_parser.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="SECONDS",
-        help="exit after this long with no coordinator answering "
-        "(default: keep retrying until signalled)",
-    )
-
     args = parser.parse_args(argv)
-    if args.command in ("compare", "serve-sweep"):
+    if args.command == "compare":
         if args.resume and args.checkpoint is None:
             parser.error("--resume requires --checkpoint")
         if args.cache is not None and args.no_cache:
             parser.error("--cache conflicts with --no-cache")
-    if args.command == "compare" and args.cluster and not args.token:
-        parser.error("--cluster requires --token")
     commands = {
         "list": cmd_list,
         "run": cmd_run,
         "compare": cmd_compare,
-        "serve-sweep": cmd_serve,
         "trace": cmd_trace,
-        "work": cmd_work,
         "cache": cmd_cache,
     }
     return commands[args.command](args)

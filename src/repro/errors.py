@@ -112,25 +112,6 @@ class CacheError(ReproError):
     """
 
 
-class CodecError(ReproError):
-    """A sweep payload cannot be encoded to, or decoded from, wire JSON.
-
-    Raised by :mod:`repro.sim.codec` when a spec carries an unregistered
-    type, or when an incoming payload is malformed or names a type
-    outside the closed decode registry (decoding never constructs
-    arbitrary classes).
-    """
-
-
-class ShardError(ReproError):
-    """A distributed-sweep coordinator or worker hit a protocol failure.
-
-    Covers authentication rejections, schema mismatches between
-    coordinator and worker, malformed shard-protocol messages, and a
-    coordinator that shut down before the sweep completed.
-    """
-
-
 class TelemetryError(ReproError):
     """A telemetry component (metric, trace, profiler) was misused."""
 

@@ -17,17 +17,12 @@ likewise sets the default lane-batch width
 (:func:`repro.sim.parallel.set_default_batch`): groups of up to B
 compatible runs advance through one vectorized
 :class:`~repro.sim.batch.BatchEngine` kernel, inside each worker when
-combined with ``--jobs``.  ``--cluster HOST:PORT --token SECRET``
-installs a process-wide :class:`~repro.sim.distributed.ClusterConfig`
-(:func:`repro.sim.parallel.set_default_cluster`), so every sweep is
-coordinated for distributed ``python -m repro work`` workers instead
-of executing locally -- still bit-identical.  ``--cache [DIR]``
-installs a process-wide result-cache default
-(:func:`repro.sim.parallel.set_default_cache`), so every sweep replays
-previously completed specs from the persistent store instead of
-re-running them -- bit-identical results and telemetry, see
-docs/performance.md, "Level 5"; ``--no-cache`` disables caching even
-when ``REPRO_CACHE`` is set.
+combined with ``--jobs``.  ``--cache [DIR]`` installs a process-wide
+result-cache default (:func:`repro.sim.parallel.set_default_cache`),
+so every sweep replays previously completed specs from the persistent
+store instead of re-running them -- bit-identical results and
+telemetry, see docs/performance.md, "Level 4"; ``--no-cache`` disables
+caching even when ``REPRO_CACHE`` is set.
 
 ``--grid-solver {spectral,euler}`` / ``--resolution N`` select the
 time integrator and mesh for the experiments built on the 2D grid
@@ -143,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.sim.cache import DEFAULT_CACHE_DIR
 
     caching = parser.add_argument_group(
-        "result caching (see docs/performance.md, Level 5)"
+        "result caching (see docs/performance.md, Level 4)"
     )
     caching.add_argument(
         "--cache", nargs="?", const=DEFAULT_CACHE_DIR, default=None,
@@ -156,27 +151,12 @@ def main(argv: list[str] | None = None) -> int:
         "--no-cache", action="store_true",
         help="disable the result cache even when REPRO_CACHE is set",
     )
-    distributed = parser.add_argument_group(
-        "distributed sharding (see docs/performance.md, Level 4)"
-    )
-    distributed.add_argument(
-        "--cluster", default=None, metavar="HOST:PORT",
-        help="coordinate every sweep for distributed workers bound to "
-        "this endpoint instead of executing locally (results are "
-        "bit-identical; requires --token)",
-    )
-    distributed.add_argument(
-        "--token", default=None, metavar="SECRET",
-        help="shared worker-authentication token for --cluster",
-    )
     args = parser.parse_args(argv)
 
     if args.resume and args.checkpoint is None:
         parser.error("--resume requires --checkpoint")
     if args.resolution is not None and args.resolution < 4:
         parser.error("--resolution must be at least 4")
-    if args.cluster and not args.token:
-        parser.error("--cluster requires --token")
     if args.cache is not None and args.no_cache:
         parser.error("--cache conflicts with --no-cache")
 
@@ -226,22 +206,6 @@ def main(argv: list[str] | None = None) -> int:
                 strict=args.strict,
             )
         )
-
-    if args.cluster:
-        from repro.errors import ConfigError
-        from repro.sim.distributed.protocol import (
-            ClusterConfig,
-            parse_endpoint,
-        )
-        from repro.sim.parallel import set_default_cluster
-
-        try:
-            host, port = parse_endpoint(args.cluster)
-            set_default_cluster(
-                ClusterConfig(host=host, port=port, token=args.token)
-            )
-        except ConfigError as error:
-            parser.error(str(error))
 
     if args.list:
         for name in ALL_EXPERIMENTS:

@@ -9,8 +9,10 @@ the isothermal heatsink) -- the approach HotSpot later standardized.
 Reported per block: steady-state temperature at peak power from the
 lumped model and from the grid (mean and max over the block's cells),
 plus the transient deviation at several points along the heating curve,
-plus the resolution-convergence table (with wall-clock per row) that
-shows the measured gap is a continuum property, not a mesh artifact.
+plus the resolution-convergence table (with wall-clock per row), whose
+lumped-vs-grid steady gap the caption reports as a range; it is not
+monotone in the mesh, so the caption claims only that it stays below
+the 2 K emergency headroom (asserted in ``tests/test_experiments.py``).
 
 The grid integrates with the spectral exact-exponential solver by
 default (``solver="euler"`` selects the original pinned sub-stepped
@@ -76,6 +78,7 @@ def run(
     # Resolution convergence (satellite of the spectral-solver work):
     # the same comparison swept over the mesh, with wall-clock per row.
     convergence_table = convergence_rows(convergence, solver=solver)
+    gaps = [row["steady_dev_k"] for row in convergence_table]
 
     text = "\n".join(
         [
@@ -101,8 +104,10 @@ def run(
         f"transient |deviation| over the heating curve: "
         f"{max(transient_devs):.3f} K.\n"
         "Both are small against the 2 K emergency headroom: the paper's\n"
-        "per-block RC simplification tracks the continuum solution, and\n"
-        "the convergence table shows the gap is mesh-stable."
+        "per-block RC simplification tracks the continuum solution.  Over\n"
+        "the convergence table the lumped-vs-grid steady gap ranges over\n"
+        f"{min(gaps):.4f}-{max(gaps):.4f} K, below the 2 K headroom at "
+        "every resolution."
     )
     return ExperimentResult(
         experiment_id="V1",

@@ -15,9 +15,7 @@ Two engines share the power, thermal, controller, and DTM code:
 runs (lanes) through the structure-of-arrays kernel a single
 ``FastEngine`` run uses with one lane, bit-identical to running each
 lane serially; ``run_specs(..., batch=B)`` composes it
-with the process-level executor.  :mod:`repro.sim.distributed` shards
-a sweep across machines (``run_suite(..., cluster=...)``), with the
-same bit-identity contract.
+with the process-level executor.
 """
 
 from repro.sim.batch import (
@@ -41,9 +39,7 @@ from repro.sim.parallel import (
     SpecOutcome,
     SweepOptions,
     WorkSpec,
-    execute_payloads,
     get_default_batch,
-    get_default_cluster,
     get_default_jobs,
     get_default_sweep_options,
     matrix_specs,
@@ -51,17 +47,8 @@ from repro.sim.parallel import (
     run_outcomes,
     run_specs,
     set_default_batch,
-    set_default_cluster,
     set_default_jobs,
     set_default_sweep_options,
-)
-
-# Imported after parallel: the distributed layer builds on it.
-from repro.sim.distributed import (
-    ClusterConfig,
-    ShardCoordinator,
-    run_cluster_outcomes,
-    run_worker,
 )
 from repro.sim.results import History, RunResult
 from repro.sim.simulator import DetailedSimulator
@@ -70,7 +57,6 @@ from repro.sim.sweep import run_suite
 __all__ = [
     "BatchEngine",
     "CheckpointJournal",
-    "ClusterConfig",
     "DetailedSimulator",
     "FastEngine",
     "History",
@@ -78,29 +64,23 @@ __all__ = [
     "RetryPolicy",
     "RunResult",
     "SWEEP_SCHEMA",
-    "ShardCoordinator",
     "SpecFailure",
     "SpecOutcome",
     "SweepOptions",
     "WorkSpec",
     "batch_compatibility_key",
-    "execute_payloads",
     "get_default_batch",
-    "get_default_cluster",
     "get_default_jobs",
     "get_default_sweep_options",
     "load_checkpoint",
     "matrix_specs",
     "plan_batches",
     "resolve_batch",
-    "run_cluster_outcomes",
     "run_outcomes",
     "run_spec_lanes",
     "run_specs",
     "run_suite",
-    "run_worker",
     "set_default_batch",
-    "set_default_cluster",
     "set_default_jobs",
     "set_default_sweep_options",
     "spec_fingerprint",

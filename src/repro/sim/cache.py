@@ -1,15 +1,15 @@
-"""Level 5: the persistent, content-addressed cross-sweep result cache.
+"""Level 4: the persistent, content-addressed cross-sweep result cache.
 
 Every run in this codebase is a pure function of its
 :class:`~repro.sim.parallel.WorkSpec`: the engine is seeded from the
 spec alone, results round-trip losslessly through the shared codec
 (:mod:`repro.sim.codec`), and specs are canonically fingerprinted
-(:func:`~repro.sim.checkpoint.spec_fingerprint`).  The first four
-performance layers (pool fan-out, the fused kernel, lane batching,
-distributed sharding) all make the same work faster; this layer stops
-repeating it.  :class:`ResultCache` memoizes completed specs on disk so
-a re-run sweep -- an iterating user, CI, overlapping experiment drivers
--- replays its results instead of recomputing them.
+(:func:`~repro.sim.checkpoint.spec_fingerprint`).  The first three
+performance layers (pool fan-out, the fused kernel, lane batching) all
+make the same work faster; this layer stops repeating it.
+:class:`ResultCache` memoizes completed specs on disk so a re-run
+sweep -- an iterating user, CI, overlapping experiment drivers --
+replays its results instead of recomputing them.
 
 Keys and invalidation
 ---------------------
@@ -32,10 +32,9 @@ checkpoint journal stores: the encoded
 worker telemetry.  A hit therefore replays the result bit-identically
 (repr-lossless floats) and folds its traces/events/metrics through
 :func:`~repro.sim.codec.fold_saved_telemetry` in spec order -- the
-identical path checkpoint resume and the shard coordinator already
-use -- so a warm sweep's sink equals a cold one's exactly.  ``cache.*``
-orchestration events are the deliberate exception, excluded from
-parity like ``sweep.*`` / ``shard.*``.  An entry stored by a
+identical path checkpoint resume already uses -- so a warm sweep's
+sink equals a cold one's exactly.  ``cache.*`` orchestration events
+are the deliberate exception, excluded from parity like ``sweep.*``.  An entry stored by a
 telemetry-less sweep carries no telemetry payload and is treated as a
 **miss** when the requesting sweep needs telemetry (the run re-executes
 and the entry upgrades in place).
@@ -383,7 +382,7 @@ class ResultCache:
         attempts: int = 1,
         fingerprint: str | None = None,
     ) -> bool:
-        """Persist one run from already-encoded wire payloads.
+        """Persist one run from already-encoded codec payloads.
 
         Skips (returns False) when the key already holds an entry at
         least as good -- the only accepted overwrite is upgrading a

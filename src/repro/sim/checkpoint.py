@@ -118,8 +118,8 @@ def spec_fingerprint(spec) -> str:
 
 
 # -- shared codec re-exports --------------------------------------------------
-# The result/telemetry codec lives in :mod:`repro.sim.codec` (the shard
-# protocol shares it verbatim); these names stay importable here because
+# The result/telemetry codec lives in :mod:`repro.sim.codec` (the result
+# cache shares it verbatim); these names stay importable here because
 # the journal format is defined in their terms.
 __all__ = [
     "SWEEP_SCHEMA",
@@ -211,11 +211,11 @@ class CheckpointJournal:
         result_payload: dict,
         telemetry_payload: dict | None,
     ) -> None:
-        """Journal one completed spec from already-encoded wire payloads.
+        """Journal one completed spec from already-encoded codec payloads.
 
-        The shard coordinator receives results as codec dicts over TCP
-        and journals them verbatim -- re-decoding and re-encoding would
-        only risk drift, since the worker already used the same codec.
+        A cache hit arrives as codec dicts and is journaled verbatim --
+        re-decoding and re-encoding would only risk drift, since the
+        cache entry was written with the same codec.
         """
         self._write_line(
             {
@@ -264,45 +264,81 @@ def truncate_partial_tail(path: Path) -> None:
 _truncate_partial_tail = truncate_partial_tail
 
 
+def _check_outcome(path: Path, number: int, data: dict) -> None:
+    """Raise :class:`CheckpointError` unless an outcome line resumes.
+
+    Resume indexes by ``fingerprint`` and decodes ``result`` and
+    ``telemetry``; a line whose fields have the wrong type would
+    otherwise load and crash later, mid-sweep, with the wrong error.
+    """
+    problems = []
+    if not isinstance(data.get("fingerprint"), str):
+        problems.append("fingerprint is not a string")
+    if not isinstance(data.get("result"), dict):
+        problems.append("result is not an object")
+    if not isinstance(data.get("telemetry"), (dict, type(None))):
+        problems.append("telemetry is neither an object nor null")
+    attempts = data.get("attempts", 1)
+    if (
+        isinstance(attempts, bool)
+        or not isinstance(attempts, int)
+        or attempts < 1
+    ):
+        problems.append("attempts is not a positive int")
+    if problems:
+        raise CheckpointError(
+            f"{path}:{number}: malformed outcome ({'; '.join(problems)})"
+        )
+
+
 def load_checkpoint(path: str | Path) -> dict[str, list[dict]]:
     """Saved outcomes of a journal, keyed by fingerprint (a multiset).
 
     Returns ``{fingerprint: [entry, ...]}`` in journal order; resume
     pops one entry per matching spec.  A missing file is an empty
     checkpoint.  A truncated final line (crash mid-write) is discarded;
-    corruption anywhere else, or a schema mismatch, raises
-    :class:`CheckpointError`.
+    corruption anywhere else, a line of the wrong shape, or a schema
+    mismatch raises :class:`CheckpointError` naming the line.
     """
     path = Path(path)
     if not path.exists():
         return {}
     saved: dict[str, list[dict]] = {}
-    with path.open("r", encoding="utf-8") as handle:
-        lines = handle.readlines()
+    lines = path.read_bytes().splitlines()
     header_seen = False
     for number, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            data = json.loads(stripped)
-        except json.JSONDecodeError as error:
+            data = json.loads(stripped.decode("utf-8"))
+        except (ValueError, RecursionError) as error:
+            # ValueError covers both bad JSON and bad UTF-8.
             if number == len(lines):
                 break  # crash-truncated tail: that spec just re-runs
             raise CheckpointError(
                 f"{path}:{number}: corrupt journal line ({error})"
             ) from error
+        if not isinstance(data, dict):
+            raise CheckpointError(
+                f"{path}:{number}: journal line is a "
+                f"{type(data).__name__}, not an object"
+            )
         kind = data.get("type")
         if kind == "header":
             schema = data.get("schema")
             if schema != SWEEP_SCHEMA:
                 raise CheckpointError(
-                    f"{path}: schema {schema!r} is not {SWEEP_SCHEMA!r}"
+                    f"{path}:{number}: schema {schema!r} is not "
+                    f"{SWEEP_SCHEMA!r}"
                 )
             header_seen = True
         elif kind == "outcome":
             if not header_seen:
-                raise CheckpointError(f"{path}: outcome before header")
+                raise CheckpointError(
+                    f"{path}:{number}: outcome before header"
+                )
+            _check_outcome(path, number, data)
             saved.setdefault(data["fingerprint"], []).append(data)
         else:
             raise CheckpointError(

@@ -1,13 +1,12 @@
-"""The shared sweep codec: lossless JSON views of specs, results, telemetry.
+"""The shared sweep codec: lossless JSON views of results and telemetry.
 
-Three subsystems move sweep state across a process boundary and must
-agree byte-for-byte on what comes back:
+Two on-disk stores persist completed sweep specs and must agree
+byte-for-byte on what comes back:
 
 * the crash-safe checkpoint journal (:mod:`repro.sim.checkpoint`)
-  persists completed specs to disk and resumes them bit-identically;
-* the distributed shard protocol (:mod:`repro.sim.distributed`) leases
-  specs to workers over TCP and streams their results back;
-* tests round-trip both paths against the in-process originals.
+  persists completed specs and resumes them bit-identically;
+* the cross-sweep result cache (:mod:`repro.sim.cache`) replays them
+  in later sweeps.
 
 This module is that single agreement.  Every value codec here is
 **repr-lossless for floats**: Python's ``json`` encodes floats with
@@ -17,190 +16,17 @@ a worker's whole retain-everything telemetry -- survives
 ``loads(dumps(...))`` bit-exactly (property-tested).  NaN rides along
 as the non-strict JSON ``NaN`` literal; both ends of every channel are
 this library, so the extension is safe and symmetric.
-
-The spec codec (:func:`spec_to_dict` / :func:`spec_from_dict`) is a
-*tagged* encoding over a closed registry of types: the dataclasses,
-enums, and plain config objects a :class:`~repro.sim.parallel.WorkSpec`
-may carry, and nothing else.  Decoding never imports or constructs an
-unregistered type, so a hostile or corrupt lease payload degrades to a
-:class:`~repro.errors.CodecError`, not code execution.  A decoded spec
-reconstructs through each type's ordinary constructor (validation
-re-runs) and fingerprints identically to the original
-(:func:`~repro.sim.checkpoint.spec_fingerprint` is content-addressed),
-which is what lets the shard coordinator hand out fingerprints as lease
-identities and verify them on the worker.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
 
 import numpy as np
 
-from repro.errors import CodecError
 from repro.sim.results import History, RunResult
-from repro.telemetry.core import Telemetry, ensure_telemetry
+from repro.telemetry.core import ensure_telemetry
 from repro.telemetry.export import event_from_dict, record_from_dict
-
-#: Tag key marking an encoded composite value; chosen to be absent from
-#: every plain mapping the sweep types carry.
-_TAG = "__repro__"
-
-#: The closed type registry (name -> class), built lazily because
-#: :class:`WorkSpec` lives in :mod:`repro.sim.parallel`, which imports
-#: the checkpoint machinery (and therefore this module) at load time.
-_TYPES: dict | None = None
-
-
-def _registry() -> dict:
-    global _TYPES
-    if _TYPES is None:
-        from repro.config import (
-            BranchPredictorConfig,
-            CacheConfig,
-            DTMConfig,
-            FailsafeConfig,
-            MachineConfig,
-            TelemetryConfig,
-            ThermalConfig,
-        )
-        from repro.control.pid import AntiWindup
-        from repro.faults import FaultSchedule, FaultWindow
-        from repro.sim.parallel import WorkSpec
-        from repro.thermal.floorplan import Block, Floorplan
-
-        _TYPES = {
-            cls.__name__: cls
-            for cls in (
-                AntiWindup,
-                Block,
-                BranchPredictorConfig,
-                CacheConfig,
-                DTMConfig,
-                FailsafeConfig,
-                FaultSchedule,
-                FaultWindow,
-                Floorplan,
-                MachineConfig,
-                TelemetryConfig,
-                ThermalConfig,
-                WorkSpec,
-            )
-        }
-    return _TYPES
-
-
-def encode_value(value):
-    """Encode one spec-carried value as tagged, JSON-serializable data."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return {
-            _TAG: "ndarray",
-            "dtype": value.dtype.str,
-            "shape": list(value.shape),
-            "data": value.ravel().tolist(),
-        }
-    if isinstance(value, tuple):
-        return {_TAG: "tuple", "items": [encode_value(v) for v in value]}
-    if isinstance(value, list):
-        return [encode_value(v) for v in value]
-    if isinstance(value, dict):
-        return {
-            _TAG: "dict",
-            "items": [
-                [encode_value(k), encode_value(v)] for k, v in value.items()
-            ],
-        }
-    name = type(value).__name__
-    if _registry().get(name) is not type(value):
-        raise CodecError(
-            f"cannot encode unregistered type {type(value).__qualname__!r}"
-        )
-    if isinstance(value, enum.Enum):
-        return {_TAG: "enum", "type": name, "value": encode_value(value.value)}
-    if dataclasses.is_dataclass(value):
-        return {
-            _TAG: "dataclass",
-            "type": name,
-            "fields": {
-                f.name: encode_value(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-            },
-        }
-    # Registered plain classes (FaultSchedule): public attributes are,
-    # by that registration contract, exactly the constructor keywords.
-    return {
-        _TAG: "object",
-        "type": name,
-        "fields": {
-            attr: encode_value(v)
-            for attr, v in vars(value).items()
-            if not attr.startswith("_")
-        },
-    }
-
-
-def decode_value(data):
-    """Rebuild a value encoded by :func:`encode_value`.
-
-    Only registry types are ever constructed; anything else raises
-    :class:`~repro.errors.CodecError`.
-    """
-    if data is None or isinstance(data, (bool, int, float, str)):
-        return data
-    if isinstance(data, list):
-        return [decode_value(v) for v in data]
-    if not isinstance(data, dict):
-        raise CodecError(f"cannot decode {type(data).__name__} value")
-    tag = data.get(_TAG)
-    if tag == "tuple":
-        return tuple(decode_value(v) for v in data["items"])
-    if tag == "dict":
-        return {decode_value(k): decode_value(v) for k, v in data["items"]}
-    if tag == "ndarray":
-        return np.array(
-            data["data"], dtype=np.dtype(data["dtype"])
-        ).reshape(data["shape"])
-    if tag in ("enum", "dataclass", "object"):
-        cls = _registry().get(data.get("type"))
-        if cls is None:
-            raise CodecError(
-                f"cannot decode unregistered type {data.get('type')!r}"
-            )
-        try:
-            if tag == "enum":
-                return cls(decode_value(data["value"]))
-            fields = {
-                str(name): decode_value(v)
-                for name, v in data["fields"].items()
-            }
-            return cls(**fields)
-        except CodecError:
-            raise
-        except Exception as error:
-            raise CodecError(
-                f"cannot rebuild {data.get('type')}: {error}"
-            ) from error
-    raise CodecError(f"cannot decode untagged mapping {sorted(data)!r}")
-
-
-def spec_to_dict(spec) -> dict:
-    """Tagged JSON view of one :class:`~repro.sim.parallel.WorkSpec`."""
-    encoded = encode_value(spec)
-    if not (isinstance(encoded, dict) and encoded.get("type") == "WorkSpec"):
-        raise CodecError(f"spec_to_dict needs a WorkSpec, got {spec!r}")
-    return encoded
-
-
-def spec_from_dict(data: dict):
-    """Rebuild the :class:`WorkSpec` saved by :func:`spec_to_dict`."""
-    if not (isinstance(data, dict) and data.get("type") == "WorkSpec"):
-        raise CodecError("spec payload is not an encoded WorkSpec")
-    return decode_value(data)
 
 
 # -- result (de)serialization -------------------------------------------------
@@ -374,10 +200,10 @@ def fold_saved_telemetry(sink, payload: dict | None) -> None:
     records and events re-emit through the sink's own retention policy,
     metrics fold under the registry's associative merge, meta updates.
     No-op when the sink is disabled or the payload is empty (the entry
-    came from a telemetry-less sweep).  Both the checkpoint resume path
-    and the shard coordinator fold through here, in spec order, which
-    is what makes resumed and distributed sweeps' retained traces
-    bit-identical to an uninterrupted local one.
+    came from a telemetry-less sweep).  Checkpoint resume and cache
+    hits both fold through here, in spec order, which is what makes
+    resumed and warm sweeps' retained traces bit-identical to an
+    uninterrupted cold one.
     """
     sink = ensure_telemetry(sink)
     if not sink.enabled or payload is None:
@@ -390,17 +216,3 @@ def fold_saved_telemetry(sink, payload: dict | None) -> None:
     if payload.get("meta"):
         sink.meta.update(payload["meta"])
 
-
-def check_telemetry_payload(payload, config=None) -> None:
-    """Raise :class:`CodecError` unless ``payload`` folds cleanly.
-
-    Trial-folds the payload into a fresh sink of ``config``, so it
-    accepts exactly what :func:`fold_saved_telemetry` would.  The shard
-    coordinator checks a worker's payload before journaling or caching
-    it: a malformed one would otherwise poison every later resume and
-    warm replay.
-    """
-    try:
-        fold_saved_telemetry(Telemetry(config), payload)
-    except Exception as error:
-        raise CodecError(f"malformed telemetry payload: {error!r}") from error

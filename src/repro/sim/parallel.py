@@ -6,14 +6,12 @@ or :func:`run_specs`, and a full paper reproduction runs hundreds of
 independent simulations.  Each run is CPU-bound pure Python/NumPy with
 no shared mutable state, which makes the matrix embarrassingly parallel
 -- but only if the observability guarantees survive the fan-out.  One
-runner, :class:`_OutcomeRunner`, executes every local spec: serially or
-on a :class:`~concurrent.futures.ProcessPoolExecutor`, lane-batched or
-not, journaled and cached or not.  One ledger, :class:`_SweepLedger`,
-settles every spec of every sweep: the runner is a ledger, and so is
-the distributed :class:`~repro.sim.distributed.ShardCoordinator`, which
-settles its workers' wire payloads through the same resume, cache,
-journal, retry, fold and strict-mode bookkeeping.  The entry points
-differ only in how they configure the runner and what they return:
+runner, :class:`_OutcomeRunner`, executes and settles every spec:
+serially or on a :class:`~concurrent.futures.ProcessPoolExecutor`,
+lane-batched or not, journaled and cached or not, with the same
+resume, cache, journal, retry, fold and strict-mode bookkeeping.  The
+entry points differ only in how they configure the runner and what
+they return:
 
 * :func:`run_outcomes` + :class:`SweepOptions` / :class:`RetryPolicy`
   -- the fault-tolerant sweep: per-spec wall-clock timeouts, bounded
@@ -23,13 +21,11 @@ differ only in how they configure the runner and what they return:
   isolation as structured :class:`SpecOutcome` values, and a
   crash-safe checkpoint journal (:mod:`repro.sim.checkpoint`) for
   ``--resume``;
-* :func:`run_specs` -- results only.  With no ``options`` and no
-  ``cluster`` anywhere it is *fail-fast*: the same runner with no
-  retries, which stops at the first failed spec in spec order, folds
-  the telemetry of the specs already settled, flushes the cache, and
-  re-raises that spec's original exception;
-* :func:`execute_payloads` -- the shard worker's entry point: the same
-  runner, one attempt per spec, outcomes as settled payload tuples;
+* :func:`run_specs` -- results only.  With no ``options`` anywhere it
+  is *fail-fast*: the same runner with no retries, which stops at the
+  first failed spec in spec order, folds the telemetry of the specs
+  already settled, flushes the cache, and re-raises that spec's
+  original exception;
 * :class:`WorkSpec` -- a picklable, self-contained description of one
   run (names + frozen config dataclasses, never live objects), so a
   worker process can rebuild the exact engine the serial path would
@@ -37,11 +33,10 @@ differ only in how they configure the runner and what they return:
 * :func:`matrix_specs` -- build the (benchmark x policy x seed) spec
   list in the canonical benchmark-major order used by ``run_suite``;
 * ``set_default_jobs`` / ``set_default_batch`` /
-  ``set_default_sweep_options`` / ``set_default_cluster`` /
-  ``set_default_cache`` -- process-wide defaults so a driver's
-  ``--jobs`` / ``--batch`` / ``--retries`` / ``--cluster`` /
-  ``--cache`` reach every ``run_suite`` call inside table modules
-  without threading parameters through each one.
+  ``set_default_sweep_options`` / ``set_default_cache`` --
+  process-wide defaults so a driver's ``--jobs`` / ``--batch`` /
+  ``--retries`` / ``--cache`` reach every ``run_suite`` call inside
+  table modules without threading parameters through each one.
 
 Determinism and telemetry parity
 --------------------------------
@@ -140,9 +135,6 @@ _DEFAULT_BATCH = 1
 #: sweep with no retries, timeouts, or checkpointing).
 _DEFAULT_OPTIONS: "SweepOptions | None" = None
 
-#: Process-wide default for ``cluster=None`` (None = run locally).
-_DEFAULT_CLUSTER = None
-
 
 def _validate_jobs(jobs, *, allow_none: bool = False) -> None:
     if jobs is None and allow_none:
@@ -237,29 +229,17 @@ def get_default_sweep_options() -> "SweepOptions | None":
 
 
 def set_default_cluster(cluster) -> None:
-    """Set the process-wide default shard cluster (``None`` = local).
+    """Accept ``None``; raise :class:`ConfigError` for anything else.
 
-    Drivers wire their ``--cluster`` flag here so every ``run_suite`` /
-    ``run_outcomes`` call that does not pass an explicit ``cluster``
-    serves its specs to distributed workers (see
-    :mod:`repro.sim.distributed`) instead of executing locally.
+    Sweeps always run locally.  This remains only because the
+    repository benchmark's ``perfbench/run.py:isolate()`` resets every
+    ``set_default_*`` global, this one included, with ``None``; it goes
+    once that harness passes explicit arguments instead.
     """
-    global _DEFAULT_CLUSTER
     if cluster is not None:
-        # Function-level import: repro.sim.distributed builds on this
-        # module, so a top-level import would be circular.
-        from repro.sim.distributed.protocol import ClusterConfig
-
-        if not isinstance(cluster, ClusterConfig):
-            raise ConfigError(
-                f"cluster must be a ClusterConfig or None, got {cluster!r}"
-            )
-    _DEFAULT_CLUSTER = cluster
-
-
-def get_default_cluster():
-    """The process-wide default shard cluster (``None`` = run locally)."""
-    return _DEFAULT_CLUSTER
+        raise ConfigError(
+            f"sweeps run locally; cluster must be None, got {cluster!r}"
+        )
 
 
 #: Process-wide default for ``cache=None``.  ``None`` defers to the
@@ -770,7 +750,6 @@ def run_specs(
     telemetry=None,
     options: "SweepOptions | None" = None,
     batch: int | None = None,
-    cluster=None,
     cache=None,
 ) -> list[RunResult]:
     """Execute specs, serially or on a process pool; results in spec order.
@@ -787,27 +766,25 @@ def run_specs(
     every run's telemetry folds into ``telemetry`` in spec order (see
     the module docstring).
 
-    ``options`` or ``cluster`` (or the process-wide defaults installed
-    by :func:`set_default_sweep_options` / :func:`set_default_cluster`)
-    route execution through :func:`run_outcomes`: failing specs yield
-    ``None`` entries in the returned list (or, with ``options.strict``,
-    one aggregated :class:`~repro.errors.SweepError` at the end).  With
-    neither anywhere, the sweep is fail-fast: it stops at the first
-    failed spec in spec order and re-raises that spec's own exception,
-    after folding the telemetry of the specs already settled and
-    storing their results in the cache.  A worker crash, which leaves
-    no exception to re-raise, surfaces as a
+    ``options`` (or the process-wide default installed by
+    :func:`set_default_sweep_options`) routes execution through
+    :func:`run_outcomes`: failing specs yield ``None`` entries in the
+    returned list (or, with ``options.strict``, one aggregated
+    :class:`~repro.errors.SweepError` at the end).  Without options
+    anywhere, the sweep is fail-fast: it stops at the first failed spec
+    in spec order and re-raises that spec's own exception, after
+    folding the telemetry of the specs already settled and storing
+    their results in the cache.  A worker crash, which leaves no
+    exception to re-raise, surfaces as a
     :class:`~repro.errors.SweepError`.
     """
     specs = list(specs)
     if options is None:
         options = _DEFAULT_OPTIONS
-    if cluster is None:
-        cluster = _DEFAULT_CLUSTER
-    if options is not None or cluster is not None:
+    if options is not None:
         outcomes = run_outcomes(
             specs, jobs=jobs, telemetry=telemetry, options=options,
-            batch=batch, cluster=cluster, cache=cache,
+            batch=batch, cache=cache,
         )
     else:
         outcomes = _OutcomeRunner(
@@ -823,7 +800,6 @@ def run_outcomes(
     telemetry=None,
     options: "SweepOptions | None" = None,
     batch: int | None = None,
-    cluster=None,
     cache=None,
 ) -> list[SpecOutcome]:
     """Fault-tolerantly execute specs; structured outcomes in spec order.
@@ -836,99 +812,41 @@ def run_outcomes(
     timeout, checkpoint/resume, and strict-mode knobs, and the module
     docstring for the determinism guarantees.
 
-    ``cluster`` (or a default installed via
-    :func:`set_default_cluster`) serves the specs to distributed
-    workers through a :class:`~repro.sim.distributed.ShardCoordinator`
-    instead of executing locally; ``jobs`` and ``batch`` then apply on
-    each *worker's* command line, not here.  Outcomes, telemetry, and
-    checkpoint behaviour are bit-identical either way.
-
     ``cache`` (``None`` defers to :func:`resolve_cache`) replays
     previously completed specs from the cross-sweep result cache
-    before any execution or leasing happens (``from_cache=True`` on
-    their outcomes); fresh successes write back.
+    before any execution happens (``from_cache=True`` on their
+    outcomes); fresh successes write back.
     """
-    specs = list(specs)
     if options is None:
         options = _DEFAULT_OPTIONS if _DEFAULT_OPTIONS is not None else SweepOptions()
-    if cluster is None:
-        cluster = _DEFAULT_CLUSTER
-    if cluster is not None:
-        # Function-level import: repro.sim.distributed builds on this
-        # module.  The coordinator settles through the same ledger,
-        # strict-mode aggregation included.
-        from repro.sim.distributed.coordinator import run_cluster_outcomes
-
-        return run_cluster_outcomes(
-            specs,
-            cluster,
-            options=options,
-            telemetry=ensure_telemetry(telemetry),
-            cache=cache,
-        )
-    return _OutcomeRunner(specs, jobs, telemetry, options, batch, cache).run()
+    return _OutcomeRunner(list(specs), jobs, telemetry, options, batch, cache).run()
 
 
-def execute_payloads(
-    specs: Sequence[WorkSpec],
-    jobs: int | None = None,
-    batch: int | None = None,
-    telemetry_config: TelemetryConfig | None = None,
-) -> list[tuple]:
-    """Run specs locally; one settled payload per spec, in spec order.
+class _OutcomeRunner:
+    """One sweep: the only code that executes specs and settles them.
 
-    The shard worker's execution entry point
-    (:mod:`repro.sim.distributed.worker`): the local runner with
-    process-level ``jobs`` and lane-level ``batch``, one attempt per
-    spec and no sink, journal or cache.  Each outcome maps to
-    ``("ok", result, local_telemetry)`` or ``("error", exc_type,
-    message, traceback)``, so one spec's failure never poisons its
-    neighbours.  Retry/backoff policy stays with the coordinator.  A
-    local pool death re-runs the lost specs one at a time, and a spec
-    that kills its own worker settles as a ``BrokenProcessPool`` error.
-    """
-    runner = _OutcomeRunner(
-        list(specs), jobs, None, SweepOptions(), batch, cache=False,
-        config=telemetry_config,
-    )
-    return [
-        ("ok", outcome.result, runner._locals[outcome.index])
-        if outcome.ok
-        else (
-            "error",
-            outcome.error.exc_type,
-            outcome.error.message,
-            outcome.error.traceback,
-        )
-        for outcome in runner.run()
-    ]
-
-
-class _SweepLedger:
-    """Settlement bookkeeping shared by every sweep that settles specs.
-
-    It owns the per-spec outcomes and everything that happens when one
-    settles: resume and cache pre-settlement, journaling and caching a
-    success, charging a failure against the :class:`RetryPolicy`, the
+    Execution is the retry/rebuild loop, in process or on a pool.
+    Settlement is everything that happens when a spec settles: resume
+    and cache pre-settlement, journaling and caching a success,
+    charging a failure against the :class:`RetryPolicy`, the
     in-spec-order telemetry fold, the strict-mode
     :class:`~repro.errors.SweepError`, and closing the journal and
-    flushing the cache.  :class:`_OutcomeRunner` settles the specs it
-    runs itself; :class:`~repro.sim.distributed.ShardCoordinator`
-    settles the codec payloads its workers send back.  Their
-    orchestration events differ only in prefix (``sweep.*`` here).
+    flushing the cache.  ``jobs``, ``batch`` and ``cache`` resolve
+    exactly as in :func:`run_specs`.  A ``fail_fast`` runner
+    (``options`` must allow no retries) raises the first permanent
+    failure's original exception instead of isolating it.
     """
-
-    #: Prefix of the resume, retry and spec-failed events.
-    _EVENTS = "sweep"
 
     def __init__(
         self,
         specs: list[WorkSpec],
+        jobs: int | None,
         telemetry,
         options: SweepOptions,
-        cache,
+        batch: int | None = None,
+        cache=None,
         *,
-        fingerprints: bool,
+        fail_fast: bool = False,
     ) -> None:
         self.specs = specs
         self.sink = ensure_telemetry(telemetry)
@@ -938,17 +856,18 @@ class _SweepLedger:
         n = len(specs)
         #: Per-spec cache keys, computed only when the cache is on.
         self._cache_keys: list[str | None] = [None] * n
-        #: Per-spec content fingerprints (journal and lease identities).
+        #: Per-spec content fingerprints (journal identities), computed
+        #: only when the sweep journals.
         self._fingerprints: list[str | None] = (
             [spec_fingerprint(spec) for spec in specs]
-            if fingerprints
+            if options.checkpoint_path is not None
             else [None] * n
         )
         self.outcomes: list[SpecOutcome | None] = [None] * n
         #: Worker-local telemetry of live successful runs, by index;
         #: dropped once folded into an enabled sink.
         self._locals: list[Telemetry | None] = [None] * n
-        #: Telemetry payloads of specs settled from codec payloads.
+        #: Telemetry payloads of specs pre-settled from codec payloads.
         self._saved_payloads: list[dict | None] = [None] * n
         self._journal: CheckpointJournal | None = None
         self._resumed = 0
@@ -956,6 +875,28 @@ class _SweepLedger:
         #: Specs before this index are folded into the sink.
         self._fold_cursor = 0
         self._folded = False
+        self.jobs = resolve_jobs(jobs, n)
+        # Explicit argument > options.batch > process-wide default.
+        self.batch = batch = resolve_batch(
+            options.batch if batch is None else batch
+        )
+        self.fail_fast = fail_fast
+        #: Per-spec lane-compatibility keys (None = never batch).
+        self._batch_keys = (
+            [batch_compatibility_key(spec) for spec in specs]
+            if batch > 1
+            else None
+        )
+        #: Specs banned from batching: after an unattributable group
+        #: failure (timeout, group-level error) its lanes re-run as
+        #: singletons so blame is attributable on the next attempt.
+        self._no_batch: set[int] = set()
+        #: Worker-local telemetry configuration (None: the sink is off).
+        self.config = (
+            _worker_telemetry_config(getattr(self.sink, "config", None))
+            if self.sink.enabled
+            else None
+        )
 
     # -- checkpoint and cache plumbing ---------------------------------------
     def _open_journal(self) -> list[int]:
@@ -967,7 +908,7 @@ class _SweepLedger:
         also warms the cache (a later sweep without the journal still
         hits) and a cache hit is journaled (a ``--resume`` of an
         interrupted warm sweep works).  Pre-settled specs never reach
-        an execution path: no pool slot, no batch lane, no shard lease.
+        an execution path: no pool slot, no batch lane.
         """
         options = self.options
         saved: dict[str, list[dict]] = {}
@@ -986,7 +927,9 @@ class _SweepLedger:
             entries = saved.get(self._fingerprints[index] or "")
             if entries:
                 self._resumed += 1
-                self._settle_entry(index, entries.pop(0), from_checkpoint=True)
+                self._settle_payload(
+                    index, entries.pop(0), from_checkpoint=True
+                )
                 continue
             if self.cache is not None:
                 entry = self.cache.lookup(
@@ -995,13 +938,13 @@ class _SweepLedger:
                 )
                 if entry is not None:
                     self._cached += 1
-                    self._settle_entry(index, entry, from_cache=True)
+                    self._settle_payload(index, entry, from_cache=True)
                     continue
             unsettled.append(index)
         total = len(self.specs)
         if self._resumed:
             self._event(
-                f"{self._EVENTS}.resume",
+                "sweep.resume",
                 -1,
                 f"resumed {self._resumed} of {total} specs from checkpoint",
                 resumed=self._resumed,
@@ -1033,37 +976,27 @@ class _SweepLedger:
         if self.sink.enabled:
             self.sink.event(kind, index, message, **fields)
 
-    def _settle_entry(self, index: int, entry: dict, **source) -> None:
-        """Pre-settle one journal or cache entry (``from_*`` flag set)."""
-        self._settle_payload(
-            index,
-            entry.get("attempts", 1),
-            result_from_dict(entry["result"]),
-            entry["result"],
-            entry.get("telemetry"),
-            **source,
-        )
-
     def _settle_payload(
         self,
         index: int,
-        attempts: int,
-        result: RunResult,
-        result_payload: dict,
-        telemetry_payload: dict | None,
+        entry: dict,
         *,
         from_checkpoint: bool = False,
         from_cache: bool = False,
     ) -> None:
-        """Settle one success that arrived as codec payloads.
+        """Pre-settle one journal or cache entry of codec payloads.
 
         The payloads are journaled and cached verbatim -- re-encoding
-        ``result`` (their decoded form) would only risk drift -- except
-        where they came from: a resumed entry is not journaled again,
-        a cache hit is not stored again.  Durable before settled: the
-        outcome is recorded only once both writes are done.
+        the decoded result would only risk drift -- except where they
+        came from: a resumed entry is not journaled again, a cache hit
+        is not stored again.  Durable before settled: the outcome is
+        recorded only once both writes are done.
         """
         spec = self.specs[index]
+        attempts = entry.get("attempts", 1)
+        result_payload = entry["result"]
+        telemetry_payload = entry.get("telemetry")
+        result = result_from_dict(result_payload)
         if self._journal is not None and not from_checkpoint:
             self._journal.append_payload(
                 self._fingerprints[index],
@@ -1120,7 +1053,7 @@ class _SweepLedger:
             )
         self._fold_settled()
 
-    def _charge_failure(
+    def _register_failure(
         self,
         index: int,
         attempt: int,
@@ -1128,34 +1061,34 @@ class _SweepLedger:
         exc_type: str,
         message: str,
         traceback: str = "",
-        worker: str | None = None,
-    ) -> float | None:
-        """Charge one failed attempt against the retry budget.
+        error: BaseException | None = None,
+    ) -> bool:
+        """Charge one failed attempt; True if the spec should retry.
 
-        Returns the backoff before the retry, or ``None`` once the
-        budget is spent: the spec then settles as a permanent
-        :class:`SpecFailure` and the fold moves on.  ``worker`` names
-        where a remote attempt failed, in the retry event.
+        A retry first sleeps out its backoff.  Once the retry budget is
+        spent the spec settles as a permanent :class:`SpecFailure` and
+        the fold moves on.  A fail-fast runner then raises right here:
+        the spec's own exception ``error``, or -- when none survived
+        the trip back from a worker (a crash, an unpicklable exception)
+        -- a :class:`~repro.errors.SweepError` carrying the outcome.
         """
         spec = self.specs[index]
         retry = self.options.retry
         if attempt < retry.max_retries:
-            where, fields = (
-                ("", {}) if worker is None
-                else (f" on {worker}", {"worker": worker})
-            )
             self._event(
-                f"{self._EVENTS}.retry",
+                "sweep.retry",
                 index,
                 f"{spec.benchmark}/{spec.policy} attempt {attempt + 1} "
-                f"failed ({kind}){where}; retrying",
+                f"failed ({kind}); retrying",
                 failure_kind=kind,
                 attempt=attempt + 1,
                 exc_type=exc_type,
-                **fields,
             )
-            return retry.delay(attempt + 1)
-        self.outcomes[index] = SpecOutcome(
+            delay = retry.delay(attempt + 1)
+            if delay > 0:
+                time.sleep(delay)
+            return True
+        outcome = self.outcomes[index] = SpecOutcome(
             spec=spec,
             index=index,
             error=SpecFailure(
@@ -1167,7 +1100,7 @@ class _SweepLedger:
             attempts=attempt + 1,
         )
         self._event(
-            f"{self._EVENTS}.spec_failed",
+            "sweep.spec_failed",
             index,
             f"{spec.benchmark}/{spec.policy} failed permanently "
             f"after {attempt + 1} attempt(s) ({kind})",
@@ -1176,7 +1109,15 @@ class _SweepLedger:
             exc_type=exc_type,
         )
         self._fold_settled()
-        return None
+        if self.fail_fast:
+            if error is None:
+                error = SweepError(
+                    f"{spec.benchmark}/{spec.policy}[seed={spec.seed}] "
+                    f"{outcome.error}",
+                    [outcome],
+                )
+            raise error
+        return False
 
     def _checked_outcomes(self) -> list[SpecOutcome]:
         """The settled outcomes; under ``options.strict``, raise one
@@ -1212,13 +1153,12 @@ class _SweepLedger:
     def _fold_settled(self) -> None:
         """Fold the leading run of settled specs, in spec order.
 
-        Called after every settlement: retries, crash re-runs and
-        remote workers complete out of spec order, and only a strict
-        in-spec-order fold reproduces the serial emit sequence the
-        decimation/parity guarantees rest on.  Failed specs contribute
-        nothing -- a half-run's telemetry would poison determinism.
-        With a disabled sink nothing folds and the locals stay (the
-        shard worker returns them).
+        Called after every settlement: retries and crash re-runs
+        complete out of spec order, and only a strict in-spec-order
+        fold reproduces the serial emit sequence the decimation/parity
+        guarantees rest on.  Failed specs contribute nothing -- a
+        half-run's telemetry would poison determinism.  With a
+        disabled sink nothing folds.
         """
         if self._folded or not self.sink.enabled:
             return
@@ -1232,9 +1172,9 @@ class _SweepLedger:
     def fold_telemetry(self) -> None:
         """End of sweep: fold every remaining settled spec, in spec order.
 
-        Idempotent; also runs when an interrupt, a fail-fast failure or
-        a stopped coordinator ends the sweep, so specs settled past an
-        unsettled one still fold.
+        Idempotent; also runs when an interrupt or a fail-fast failure
+        ends the sweep, so specs settled past an unsettled one still
+        fold.
         """
         if self._folded or not self.sink.enabled:
             return
@@ -1246,97 +1186,6 @@ class _SweepLedger:
         if self.specs:
             last = self.specs[-1]
             self.sink.set_context(last.benchmark, last.policy)
-
-
-class _OutcomeRunner(_SweepLedger):
-    """One local sweep execution: the retry/rebuild loop.
-
-    The only code that executes specs; settlement is the ledger's.
-    ``jobs``, ``batch`` and ``cache`` resolve exactly as in
-    :func:`run_specs`.  A ``fail_fast`` runner (``options`` must allow
-    no retries) raises the first permanent failure's original
-    exception instead of isolating it.  ``config`` overrides the
-    worker-local telemetry configuration that is otherwise derived
-    from the sink (the shard worker has no sink).
-    """
-
-    def __init__(
-        self,
-        specs: list[WorkSpec],
-        jobs: int | None,
-        telemetry,
-        options: SweepOptions,
-        batch: int | None = None,
-        cache=None,
-        *,
-        fail_fast: bool = False,
-        config: TelemetryConfig | None = None,
-    ) -> None:
-        super().__init__(
-            specs,
-            telemetry,
-            options,
-            cache,
-            fingerprints=options.checkpoint_path is not None,
-        )
-        self.jobs = resolve_jobs(jobs, len(specs))
-        # Explicit argument > options.batch > process-wide default.
-        self.batch = batch = resolve_batch(
-            options.batch if batch is None else batch
-        )
-        self.fail_fast = fail_fast
-        #: Per-spec lane-compatibility keys (None = never batch).
-        self._batch_keys = (
-            [batch_compatibility_key(spec) for spec in specs]
-            if batch > 1
-            else None
-        )
-        #: Specs banned from batching: after an unattributable group
-        #: failure (timeout, group-level error) its lanes re-run as
-        #: singletons so blame is attributable on the next attempt.
-        self._no_batch: set[int] = set()
-        if config is None and self.sink.enabled:
-            config = _worker_telemetry_config(
-                getattr(self.sink, "config", None)
-            )
-        self.config = config
-
-    def _register_failure(
-        self,
-        index: int,
-        attempt: int,
-        kind: str,
-        exc_type: str,
-        message: str,
-        traceback: str = "",
-        error: BaseException | None = None,
-    ) -> bool:
-        """Handle one failed attempt; True if the spec should retry.
-
-        A retry first sleeps out its backoff.  A fail-fast runner
-        raises a permanent failure right here: the spec's own exception
-        ``error``, or -- when none survived the trip back from a worker
-        (a crash, an unpicklable exception) -- a
-        :class:`~repro.errors.SweepError` carrying the outcome.
-        """
-        delay = self._charge_failure(
-            index, attempt, kind, exc_type, message, traceback
-        )
-        if delay is not None:
-            if delay > 0:
-                time.sleep(delay)
-            return True
-        if self.fail_fast:
-            if error is None:
-                outcome = self.outcomes[index]
-                spec = outcome.spec
-                error = SweepError(
-                    f"{spec.benchmark}/{spec.policy}[seed={spec.seed}] "
-                    f"{outcome.error}",
-                    [outcome],
-                )
-            raise error
-        return False
 
     # -- execution -----------------------------------------------------------
     def run(self) -> list[SpecOutcome]:

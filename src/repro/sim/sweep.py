@@ -191,7 +191,6 @@ def run_suite(
     jobs: int | None = None,
     options=None,
     batch: int | None = None,
-    cluster=None,
     cache=None,
 ) -> Mapping[tuple[str, str], RunResult]:
     """Run the full (benchmark x policy) matrix.
@@ -201,7 +200,7 @@ def run_suite(
 
     The matrix runs as :class:`~repro.sim.parallel.WorkSpec` values
     through :func:`~repro.sim.parallel.run_specs`, so ``jobs``,
-    ``options``, ``batch``, ``cluster`` and ``cache`` mean exactly what
+    ``options``, ``batch`` and ``cache`` mean exactly what
     they mean there, defaults included.  Results are bit-identical
     whatever the combination (property-tested).
 
@@ -231,20 +230,12 @@ def run_suite(
     :class:`~repro.errors.SweepError` instead.  Without options the
     sweep is fail-fast: the first failing run's exception propagates.
 
-    ``cluster`` (a :class:`~repro.sim.distributed.ClusterConfig`, or
-    the process-wide default installed via
-    :func:`~repro.sim.parallel.set_default_cluster`) shards the matrix
-    across distributed workers instead of executing locally: this
-    process becomes the coordinator, and ``jobs``/``batch`` apply on
-    each worker's own command line (see docs/performance.md,
-    "Level 4").
-
     ``cache`` routes the matrix through the cross-sweep result cache
     (:mod:`repro.sim.cache`; ``None`` defers to
     :func:`~repro.sim.parallel.resolve_cache`, i.e. the process-wide
     default or ``REPRO_CACHE``): previously completed runs replay
     bit-identically instead of executing, fresh runs write back.  See
-    docs/performance.md, "Level 5".
+    docs/performance.md, "Level 4".
     """
     # Imported here: parallel builds on this module's run_one/defaults.
     from repro.sim.parallel import matrix_specs, run_specs
@@ -269,7 +260,6 @@ def run_suite(
             telemetry=telemetry,
             options=options,
             batch=batch,
-            cluster=cluster,
             cache=cache,
         )
     return {

@@ -130,11 +130,11 @@ def summarize(
             per_core[event.kind] = per_core.get(event.kind, 0) + 1
     # Sweep-orchestration breakdown: "sweep.*" events come from the
     # fault-tolerant orchestrator (retries, timeouts, resume skips),
-    # "shard.*" events from the distributed coordinator (leases lost,
-    # duplicates dropped), and "cache.*" events from the cross-sweep
-    # result cache (hit/miss summaries).  Traces written before these
-    # layers existed carry no such events and produce an empty
-    # breakdown.
+    # "cache.*" events from the cross-sweep result cache (hit/miss
+    # summaries), and "shard.*" events from the distributed coordinator
+    # that older versions shipped (kept so their traces still render).
+    # Traces written before these layers existed carry no such events
+    # and produce an empty breakdown.
     orchestration: dict[str, dict[str, int]] = {}
     for kind, count in event_kinds.items():
         prefix, _, suffix = kind.partition(".")

@@ -32,7 +32,9 @@ class TestReceipt:
         assert "generated" in data
         meta = data["kernel"]["_meta"]
         assert meta["cpu_count"] == os.cpu_count()
-        assert set(meta) == {"measured", "cpu_count", "git_revision"}
+        assert set(meta) == {
+            "measured", "cpu_count", "git_revision", "git_dirty"
+        }
 
     def test_merge_preserves_unknown_sections(self, tmp_path):
         path = tmp_path / "BENCH_sweep.json"
@@ -144,6 +146,53 @@ class TestReceipt:
             assert receipt_module._git_revision() is None
         finally:
             receipt_module._git_revision.cache_clear()
+
+    @pytest.mark.parametrize(
+        "porcelain, dirty",
+        [
+            ("", False),
+            (" M BENCH_sweep.json\n", False),
+            (" M src/repro/sim/fast.py\n", True),
+            ("M  BENCH_sweep.json\n M src/repro/sim/fast.py\n", True),
+            ("R  old.py -> BENCH_sweep.json\n", False),
+        ],
+    )
+    def test_git_dirty_ignores_only_the_receipt(
+        self, tmp_path, monkeypatch, porcelain, dirty
+    ):
+        """A section measured on uncommitted changes says so; the
+        receipt's own pending write does not count."""
+        import subprocess
+
+        import benchmarks._receipt as receipt_module
+
+        top = os.path.dirname(os.path.dirname(receipt_module.__file__))
+
+        def fake_git(*args, **kwargs):
+            return subprocess.CompletedProcess(args, 0, porcelain, "")
+
+        monkeypatch.setattr(receipt_module.subprocess, "run", fake_git)
+        monkeypatch.setattr(receipt_module, "_git_revision", lambda: None)
+        receipt = os.path.join(top, "BENCH_sweep.json")
+        assert receipt_module._git_dirty(receipt) is dirty
+        path = tmp_path / "BENCH_sweep.json"
+        update_receipt("kernel", {"speedup": 1.0}, path=str(path))
+        # Outside the checkout nothing is the receipt: any change counts.
+        assert _read(path)["kernel"]["_meta"]["git_dirty"] is bool(porcelain)
+
+    @pytest.mark.parametrize("failure", ["oserror", "not-a-repo"])
+    def test_git_dirty_is_none_outside_git(self, monkeypatch, failure):
+        import subprocess
+
+        import benchmarks._receipt as receipt_module
+
+        def no_git(*args, **kwargs):
+            if failure == "oserror":
+                raise OSError("git not found")
+            return subprocess.CompletedProcess(args, 128, "", "fatal")
+
+        monkeypatch.setattr(receipt_module.subprocess, "run", no_git)
+        assert receipt_module._git_dirty("BENCH_sweep.json") is None
 
 
 @pytest.mark.skipif(os.name != "posix", reason="fork-based crash test")

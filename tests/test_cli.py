@@ -187,129 +187,3 @@ class TestExperimentsResilienceCLI:
             assert str(options.checkpoint_path) == str(journal)
         finally:
             set_default_sweep_options(None)
-
-
-class TestDistributedCLI:
-    """serve-sweep / work / --cluster: validation and a live round trip."""
-
-    def test_cluster_requires_token(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            repro_main(
-                ["compare", "gzip", "--cluster", "127.0.0.1:9999"]
-            )
-        assert excinfo.value.code == 2
-        assert "--cluster requires --token" in capsys.readouterr().err
-
-    def test_work_rejects_bad_endpoint(self, capsys):
-        code = repro_main(
-            ["work", "--connect", "nocolon", "--token", "t"]
-        )
-        assert code == 2
-        assert "HOST:PORT" in capsys.readouterr().err
-
-    def test_work_rejects_connecting_to_port_zero(self, capsys):
-        code = repro_main(
-            ["work", "--connect", "127.0.0.1:0", "--token", "t"]
-        )
-        assert code == 2
-        assert "port" in capsys.readouterr().err
-
-    def test_work_rejects_empty_token(self, capsys):
-        code = repro_main(
-            ["work", "--connect", "127.0.0.1:9", "--token", ""]
-        )
-        assert code == 2
-        assert "token" in capsys.readouterr().err
-
-    def test_work_rejects_negative_idle_timeout(self, capsys):
-        code = repro_main(
-            [
-                "work", "--connect", "127.0.0.1:9", "--token", "t",
-                "--idle-timeout", "-1",
-            ]
-        )
-        assert code == 2
-        assert "idle-timeout" in capsys.readouterr().err
-
-    def test_serve_rejects_newline_token(self, capsys):
-        code = repro_main(
-            [
-                "serve-sweep", "gzip", "--bind", "127.0.0.1:0",
-                "--token", "bad\ntoken",
-            ]
-        )
-        assert code == 2
-        assert "token" in capsys.readouterr().err
-
-    def test_idle_worker_times_out_cleanly(self, capsys):
-        # Nothing listens on the probed port: the worker retries until
-        # its idle deadline, then reports zero work.
-        import socket
-
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        code = repro_main(
-            [
-                "work", "--connect", f"127.0.0.1:{port}",
-                "--token", "t", "--idle-timeout", "0.2",
-            ]
-        )
-        assert code == 0
-        assert "0 spec(s) executed" in capsys.readouterr().out
-
-    def test_serve_and_work_round_trip(self, capsys):
-        """A live localhost sweep: serve-sweep in a thread, one worker
-        through the CLI, identical table to a local compare."""
-        import re
-        import threading
-
-        assert repro_main(
-            ["compare", "gzip", "--policies", "pid",
-             "--instructions", "200000"]
-        ) == 0
-        local_table = capsys.readouterr().out
-
-        import contextlib
-        import io
-
-        results = {}
-        stdout = io.StringIO()
-
-        def serve():
-            with contextlib.redirect_stdout(stdout):
-                results["code"] = repro_main(
-                    [
-                        "serve-sweep", "gzip", "--policies", "pid",
-                        "--instructions", "200000",
-                        "--bind", "127.0.0.1:0", "--token", "s3",
-                    ]
-                )
-            results["out"] = stdout.getvalue()
-
-        # The bound port is printed before wait() blocks; poll for it.
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        import time
-
-        deadline = time.monotonic() + 30
-        port = None
-        while port is None and time.monotonic() < deadline:
-            match = re.search(r"on 127\.0\.0\.1:(\d+)", stdout.getvalue())
-            port = match.group(1) if match else None
-            time.sleep(0.02)
-        assert port, "serve-sweep never reported its port"
-        code = repro_main(
-            [
-                "work", "--connect", f"127.0.0.1:{port}",
-                "--token", "s3", "--once", "--idle-timeout", "30",
-            ]
-        )
-        assert code == 0
-        thread.join(timeout=60)
-        assert results["code"] == 0
-        # The redirect is process-global while the serve thread runs,
-        # so the worker's summary may land on either stream.
-        combined = capsys.readouterr().out + results["out"]
-        assert "across 1 sweep(s)" in combined
-        assert local_table in results["out"]

@@ -16,6 +16,7 @@ from repro.experiments import (
     table1_duality,
     table2_config,
     table3_rc,
+    validation_grid,
     validation_grid_convergence,
 )
 from repro.experiments.reporting import ExperimentResult, ascii_chart, format_table
@@ -143,3 +144,15 @@ class TestDynamicExperiments:
         shifts = [row["vs_prev_k"] for row in result.rows[1:]]
         assert len(shifts) >= 2
         assert all(b < a for a, b in zip(shifts, shifts[1:])), shifts
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_grid_validation_caption_matches_rows(self, quick):
+        # The V1 caption gives the steady gap's range over the
+        # convergence rows and says it stays below the 2 K headroom.
+        result = validation_grid.run(quick=quick)
+        gaps = [row["steady_dev_k"] for row in result.extras["convergence"]]
+        assert len(gaps) >= 2
+        assert f"{min(gaps):.4f}-{max(gaps):.4f} K" in result.notes
+        assert "below the 2 K headroom" in result.notes
+        assert max(gaps) < 2.0
+        assert "mesh-stable" not in result.notes

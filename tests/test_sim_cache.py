@@ -1,12 +1,12 @@
 """The cross-sweep result cache: durability, parity, invalidation.
 
-The headline guarantee is the Level-5 analogue of every other perf
+The headline guarantee is the Level-4 analogue of every other perf
 layer's: a *warm* sweep (results replayed from ``ResultCache``) is
 bit-identical to a *cold* one -- same results, same folded trace
 records/events, same metrics -- at every execution level (serial loop,
-pool workers, lane batching, the orchestrated runner, the distributed
-coordinator).  ``cache.*`` orchestration events are excluded from
-parity exactly like ``sweep.*`` / ``shard.*``.
+pool workers, lane batching, the orchestrated runner).  ``cache.*``
+orchestration events are excluded from parity exactly like
+``sweep.*``.
 
 The store itself is exercised the way a shared on-disk artifact gets
 abused in practice: torn tails from killed writers, corrupt lines,
@@ -603,75 +603,6 @@ class TestOrchestratedRunner:
         run_outcomes(specs, options=options, cache=store)
         resumed = run_outcomes(specs, options=options)
         assert all(outcome.from_checkpoint for outcome in resumed)
-
-
-class TestClusteredCache:
-    @staticmethod
-    def _cluster(port: int = 0):
-        from repro.sim.distributed import ClusterConfig
-
-        return ClusterConfig(
-            host="127.0.0.1",
-            port=port,
-            token="secret",
-            lease_seconds=10.0,
-            heartbeat_seconds=0.5,
-            poll_seconds=0.02,
-        )
-
-    def _run_clustered(self, specs, store, telemetry=None, workers=2):
-        from repro.sim.distributed import ShardCoordinator, run_worker
-
-        coordinator = ShardCoordinator(
-            specs, self._cluster(), telemetry=telemetry, cache=store
-        )
-        coordinator.start()
-        threads = []
-        try:
-            threads = [
-                threading.Thread(
-                    target=run_worker,
-                    args=(self._cluster(coordinator.port),),
-                    kwargs=dict(
-                        once=True,
-                        idle_timeout=60.0,
-                        reconnect_seconds=0.05,
-                    ),
-                    daemon=True,
-                )
-                for _ in range(workers)
-            ]
-            for thread in threads:
-                thread.start()
-            outcomes = coordinator.wait()
-        finally:
-            coordinator.request_stop()
-            for thread in threads:
-                thread.join(timeout=60)
-        return outcomes, coordinator.stats()
-
-    def test_warm_cluster_answers_without_leasing(self, tmp_path):
-        specs = _specs()
-        reference = run_specs(specs, jobs=1)
-        store = ResultCache(tmp_path / "cache")
-        cold_sink = _quiet()
-        cold, cold_stats = self._run_clustered(
-            specs, store, telemetry=cold_sink
-        )
-        warm_sink = _quiet()
-        # Zero workers: every spec must be answered from the cache
-        # before any lease could happen.
-        warm, warm_stats = self._run_clustered(
-            specs, store, telemetry=warm_sink, workers=0
-        )
-        assert cold_stats["executed"] == len(specs)
-        assert cold_stats["cached"] == 0
-        assert warm_stats["cached"] == len(specs)
-        assert warm_stats["executed"] == 0
-        assert [o.result for o in cold] == reference
-        assert [o.result for o in warm] == reference
-        assert all(outcome.from_cache for outcome in warm)
-        assert_telemetry_identical(warm_sink, cold_sink)
 
 
 class TestRunSuiteCache:

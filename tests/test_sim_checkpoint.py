@@ -9,16 +9,25 @@ The checkpoint subsystem's contract (docs/robustness.md):
   serialization is lossless;
 * a crash can truncate at most the final line, and both the loader and
   the resume-append path discard it silently; corruption anywhere else
-  is a loud :class:`~repro.errors.CheckpointError`.
+  is a loud :class:`~repro.errors.CheckpointError`;
+* any journal either loads entries that resume can use or raises
+  :class:`~repro.errors.CheckpointError` -- never another exception
+  (property-tested over truncated, byte-flipped, wrong-schema and
+  wrong-shape lines).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DTMConfig, TelemetryConfig
 from repro.errors import CheckpointError
@@ -249,3 +258,116 @@ class TestJournal:
         path, spec, _ = self._outcome_entry(tmp_path, n=2)
         CheckpointJournal.open(path).close()
         assert load_checkpoint(path) == {}
+
+
+@functools.lru_cache(maxsize=1)
+def _outcome_line() -> str:
+    """One well-formed journal outcome line (computed once)."""
+    spec = WorkSpec(benchmark="gzip", policy="pid", instructions=INSTRUCTIONS)
+    result = run_one("gzip", "pid", instructions=INSTRUCTIONS)
+    return json.dumps(
+        {
+            "type": "outcome",
+            "fingerprint": spec_fingerprint(spec),
+            "benchmark": spec.benchmark,
+            "policy": spec.policy,
+            "seed": spec.seed,
+            "attempts": 1,
+            "result": result_to_dict(result),
+            "telemetry": None,
+        }
+    )
+
+
+_HEADER = json.dumps({"type": "header", "schema": SWEEP_SCHEMA})
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _journal_line(draw) -> bytes:
+    """A truncated, byte-flipped, wrong-schema or wrong-shape line."""
+    valid = draw(st.sampled_from([_HEADER, "OUTCOME"]))
+    valid = (_outcome_line() if valid == "OUTCOME" else valid).encode()
+    kind = draw(
+        st.sampled_from(
+            ["valid", "truncated", "flipped", "schema", "shape", "outcome"]
+        )
+    )
+    if kind == "valid":
+        return valid
+    if kind == "truncated":
+        return valid[: draw(st.integers(0, len(valid) - 1))]
+    if kind == "flipped":
+        at = draw(st.integers(0, len(valid) - 1))
+        flipped = valid[at] ^ draw(st.integers(1, 255))
+        return valid[:at] + bytes([flipped]) + valid[at + 1:]
+    if kind == "schema":
+        schema = draw(_JSON)
+        return json.dumps({"type": "header", "schema": schema}).encode()
+    if kind == "shape":
+        return json.dumps(draw(_JSON)).encode()
+    fields = draw(
+        st.fixed_dictionaries(
+            {"type": st.just("outcome")},
+            optional={
+                name: _JSON
+                for name in ("fingerprint", "result", "telemetry", "attempts")
+            },
+        )
+    )
+    return json.dumps(fields).encode()
+
+
+class TestLoadCheckpointRejectsMalformedLines:
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("42", "int, not an object"),
+            ("[1, 2]", "list, not an object"),
+            ('{"type": "outcome"}', "fingerprint is not a string"),
+            ('{"type": "outcome", "fingerprint": "ab"}', "result"),
+            (
+                '{"type": "outcome", "fingerprint": "ab", "result": {},'
+                ' "attempts": true}',
+                "attempts",
+            ),
+        ],
+    )
+    def test_wrong_shape_names_its_line(self, tmp_path, line, problem):
+        path = tmp_path / "sweep.jsonl"
+        path.write_text(f"{_HEADER}\n{line}\n{_HEADER}\n")
+        with pytest.raises(CheckpointError, match=":2: ") as excinfo:
+            load_checkpoint(path)
+        assert problem in str(excinfo.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(_journal_line(), max_size=4),
+        trailing_newline=st.booleans(),
+    )
+    def test_loads_or_raises_checkpoint_error(self, lines, trailing_newline):
+        raw = b"\n".join([_HEADER.encode(), *lines])
+        if trailing_newline:
+            raw += b"\n"
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "sweep.jsonl"
+            path.write_bytes(raw)
+            try:
+                saved = load_checkpoint(path)
+            except CheckpointError:
+                return
+        for fingerprint, entries in saved.items():
+            for entry in entries:
+                assert entry["fingerprint"] == fingerprint
+                assert isinstance(fingerprint, str)
+                assert isinstance(entry["result"], dict)

@@ -88,3 +88,17 @@ class TestInstructionValidation:
     def test_default_is_an_int(self):
         from repro.sim.sweep import DEFAULT_INSTRUCTIONS
         assert isinstance(DEFAULT_INSTRUCTIONS, int)
+
+
+class TestLocalOnly:
+    """Sweeps run locally; ``set_default_cluster`` accepts only None."""
+
+    def test_set_default_cluster_accepts_only_none(self):
+        from repro.errors import ConfigError
+        from repro.sim.parallel import set_default_cluster
+
+        set_default_cluster(None)
+        for value in ("127.0.0.1:9000", object(), 0, False):
+            with pytest.raises(ConfigError, match="cluster"):
+                set_default_cluster(value)
+
